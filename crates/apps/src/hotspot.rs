@@ -24,7 +24,7 @@
 
 use medea_cache::LINE_BYTES;
 use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, RunResult, System};
+use medea_core::system::{kernel, Kernel, RunError, RunResult, System};
 use medea_core::{Empi, SystemConfig};
 use medea_sim::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,23 +75,27 @@ pub fn run(sys: &SystemConfig, hcfg: &HotspotConfig) -> Result<HotspotOutcome, R
     let kernels: Vec<Kernel> = (0..ranks)
         .map(|r| {
             let cell = Arc::clone(&window);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 let ranks = comm.ranks();
                 let addr = |i: usize| ((r + i * ranks) * LINE_BYTES) as u32;
-                comm.barrier();
-                let t0 = comm.now();
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for i in 0..ops {
-                    comm.uncached_store_u32(addr(i), encode(r, i));
+                    comm.uncached_store_u32(addr(i), encode(r, i)).await;
                 }
                 for i in 0..ops {
-                    assert_eq!(comm.uncached_load_u32(addr(i)), encode(r, i), "rank {r} op {i}");
+                    assert_eq!(
+                        comm.uncached_load_u32(addr(i)).await,
+                        encode(r, i),
+                        "rank {r} op {i}"
+                    );
                 }
-                comm.barrier();
+                comm.barrier().await;
                 if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
                 }
-            }) as Kernel
+            })
         })
         .collect();
 

@@ -32,6 +32,6 @@ pub mod workloads;
 
 use std::sync::{Arc, Mutex};
 
-/// Shared sink collecting `(rank, values)` rows from kernel threads —
+/// Shared sink collecting `(rank, values)` rows from the kernels —
 /// the host-side result channel of the matrix workloads.
 pub type RowSink = Arc<Mutex<Vec<(usize, Vec<f64>)>>>;

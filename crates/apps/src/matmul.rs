@@ -11,7 +11,7 @@ use crate::RowSink;
 use medea_cache::Addr;
 use medea_core::api::PeApi;
 use medea_core::calib::LOOP_OVERHEAD_CYCLES;
-use medea_core::system::{Kernel, RunError, RunResult, System};
+use medea_core::system::{kernel, Kernel, RunError, RunResult, System};
 use medea_core::{Empi, SystemConfig};
 use medea_pe::kernel_if::f64_to_words;
 use medea_sim::ids::Rank;
@@ -129,8 +129,8 @@ pub fn run(sys: &SystemConfig, mcfg: &MatmulConfig) -> Result<MatmulOutcome, Run
             let cell = Arc::clone(&window);
             let sink = Arc::clone(&sink);
             let n = mcfg.n;
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 let base = comm.private_base();
                 let (s, e) = rows_of(n, comm.ranks(), r);
                 let a_at = |li: usize, k: usize| base + ((li * n + k) * 8) as u32;
@@ -138,32 +138,35 @@ pub fn run(sys: &SystemConfig, mcfg: &MatmulConfig) -> Result<MatmulOutcome, Run
                 let b_at = |k: usize, j: usize| b_base + ((k * n + j) * 8) as u32;
                 let c_base = b_base + (n * n * 8) as u32;
                 let c_at = |li: usize, j: usize| c_base + ((li * n + j) * 8) as u32;
-                comm.barrier();
-                let t0 = comm.now();
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for li in 0..e - s {
                     for j in 0..n {
                         let mut acc = 0.0;
                         for k in 0..n {
-                            let av = comm.load_f64(a_at(li, k));
-                            let bv = comm.load_f64(b_at(k, j));
-                            let prod = comm.fmul(av, bv);
-                            acc = comm.fadd(acc, prod);
-                            comm.compute(LOOP_OVERHEAD_CYCLES);
+                            let av = comm.load_f64(a_at(li, k)).await;
+                            let bv = comm.load_f64(b_at(k, j)).await;
+                            let prod = comm.fmul(av, bv).await;
+                            acc = comm.fadd(acc, prod).await;
+                            comm.compute(LOOP_OVERHEAD_CYCLES).await;
                         }
-                        comm.store_f64(c_at(li, j), acc);
+                        comm.store_f64(c_at(li, j), acc).await;
                     }
                 }
-                comm.barrier();
+                comm.barrier().await;
                 if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
                 }
                 let mut rows = Vec::new();
                 for (li, gi) in (s..e).enumerate() {
-                    let row: Vec<f64> = (0..n).map(|j| comm.load_f64(c_at(li, j))).collect();
+                    let mut row = Vec::with_capacity(n);
+                    for j in 0..n {
+                        row.push(comm.load_f64(c_at(li, j)).await);
+                    }
                     rows.push((gi, row));
                 }
                 sink.lock().expect("matmul sink").extend(rows);
-            }) as Kernel
+            })
         })
         .collect();
 

@@ -11,7 +11,7 @@
 
 use crate::sm::SmMailbox;
 use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, System};
+use medea_core::system::{kernel, Kernel, RunError, System};
 use medea_core::{Empi, SystemConfig};
 use medea_sim::ids::Rank;
 
@@ -60,46 +60,46 @@ pub fn run(
     let ping_box = SmMailbox { flag: 0x40, data: 0x50 };
     let pong_box = SmMailbox { flag: 0x80, data: 0x90 };
 
-    let ping: Kernel = Box::new(move |api: PeApi| {
-        let comm = Empi::new(api);
-        let t0 = comm.now();
+    let ping: Kernel = kernel(move |api: PeApi| async move {
+        let mut comm = Empi::new(api);
+        let t0 = comm.now().await;
         for i in 1..=rounds {
             match transport {
                 PingPongTransport::MessagePassing => {
-                    comm.send_to_rank(Rank::new(1), &[i as u32]);
-                    let back = comm.recv_from_rank(Rank::new(1));
+                    comm.send_to_rank(Rank::new(1), &[i as u32]).await;
+                    let back = comm.recv_from_rank(Rank::new(1)).await;
                     debug_assert_eq!(back[0], i as u32);
                 }
                 PingPongTransport::EmpiFramed => {
-                    comm.send(Rank::new(1), &[i as u32]);
-                    let back = comm.recv(Rank::new(1));
+                    comm.send(Rank::new(1), &[i as u32]).await;
+                    let back = comm.recv(Rank::new(1)).await;
                     debug_assert_eq!(back[0], i as u32);
                 }
                 PingPongTransport::SharedMemory => {
-                    ping_box.post(&comm, i as u32, i as u32);
-                    let back = pong_box.take(&comm, i as u32);
+                    ping_box.post(&comm, i as u32, i as u32).await;
+                    let back = pong_box.take(&comm, i as u32).await;
                     debug_assert_eq!(back, i as u32);
                 }
             }
         }
-        let t1 = comm.now();
+        let t1 = comm.now().await;
         cell.store(t1 - t0, Ordering::SeqCst);
     });
-    let pong: Kernel = Box::new(move |api: PeApi| {
-        let comm = Empi::new(api);
+    let pong: Kernel = kernel(move |api: PeApi| async move {
+        let mut comm = Empi::new(api);
         for i in 1..=rounds {
             match transport {
                 PingPongTransport::MessagePassing => {
-                    let v = comm.recv_from_rank(Rank::new(0));
-                    comm.send_to_rank(Rank::new(0), &v);
+                    let v = comm.recv_from_rank(Rank::new(0)).await;
+                    comm.send_to_rank(Rank::new(0), &v).await;
                 }
                 PingPongTransport::EmpiFramed => {
-                    let v = comm.recv(Rank::new(0));
-                    comm.send(Rank::new(0), &v);
+                    let v = comm.recv(Rank::new(0)).await;
+                    comm.send(Rank::new(0), &v).await;
                 }
                 PingPongTransport::SharedMemory => {
-                    let v = ping_box.take(&comm, i as u32);
-                    pong_box.post(&comm, i as u32, v);
+                    let v = ping_box.take(&comm, i as u32).await;
+                    pong_box.post(&comm, i as u32, v).await;
                 }
             }
         }

@@ -6,7 +6,7 @@
 
 use crate::sm::SmBarrier;
 use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, System};
+use medea_core::system::{kernel, Kernel, RunError, System};
 use medea_core::{Empi, SystemConfig};
 use medea_sim::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,30 +53,30 @@ pub fn run(
         .map(|r| {
             let cell = Arc::clone(&window);
             let sums = Arc::clone(&sums);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 let mine = contribution(r);
-                comm.barrier();
-                let t0 = comm.now();
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 let total = match transport {
-                    ReduceTransport::MessagePassing => comm.allreduce(mine),
+                    ReduceTransport::MessagePassing => comm.allreduce(mine).await,
                     ReduceTransport::SharedMemory => {
                         // Accumulate under the MPMMU lock, then rendezvous
                         // at the SM barrier and read the total back.
-                        comm.lock(LOCK);
-                        let acc = comm.uncached_load_f64(ACC_LO);
-                        let acc = comm.fadd(acc, mine);
-                        comm.uncached_store_f64(ACC_LO, acc);
-                        comm.unlock(LOCK);
-                        bar.wait(&comm, comm.ranks());
-                        comm.uncached_load_f64(ACC_LO)
+                        comm.lock(LOCK).await;
+                        let acc = comm.uncached_load_f64(ACC_LO).await;
+                        let acc = comm.fadd(acc, mine).await;
+                        comm.uncached_store_f64(ACC_LO, acc).await;
+                        comm.unlock(LOCK).await;
+                        bar.wait(&comm, comm.ranks()).await;
+                        comm.uncached_load_f64(ACC_LO).await
                     }
                 };
                 if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
                 }
                 sums.lock().expect("reduce sink").push(total);
-            }) as Kernel
+            })
         })
         .collect();
 

@@ -33,7 +33,7 @@
 
 use medea_cache::{Addr, LINE_BYTES};
 use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, RunResult, System};
+use medea_core::system::{kernel, Kernel, RunError, RunResult, System};
 use medea_core::{Empi, NullSink, SystemConfig, TraceSink};
 use medea_sim::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,48 +167,47 @@ pub fn run_disciplined_traced<S: TraceSink>(
         .map(|r| {
             let cell = Arc::clone(&window);
             let sink = Arc::clone(&readback);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 let ranks = comm.ranks();
-                comm.barrier();
-                let t0 = comm.now();
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for round in 0..rounds {
                     let c = (r + round) % ranks;
                     let addr = counter_addr(c);
-                    comm.lock(lock_addr(c));
+                    comm.lock(lock_addr(c)).await;
                     let v = match discipline {
                         Discipline::Software => {
-                            comm.invalidate_line(addr);
-                            let v = comm.load_u32(addr);
-                            comm.store_u32(addr, v + 1);
-                            comm.flush_line(addr);
+                            comm.invalidate_line(addr).await;
+                            let v = comm.load_u32(addr).await;
+                            comm.store_u32(addr, v + 1).await;
+                            comm.flush_line(addr).await;
                             v
                         }
                         Discipline::Hardware => {
-                            let v = comm.load_u32(addr);
-                            comm.store_u32(addr, v + 1);
+                            let v = comm.load_u32(addr).await;
+                            comm.store_u32(addr, v + 1).await;
                             v
                         }
                     };
                     assert!(v <= rounds as u32, "rank {r} counter {c} overshot: {v}");
-                    comm.unlock(lock_addr(c));
+                    comm.unlock(lock_addr(c)).await;
                 }
-                comm.barrier();
+                comm.barrier().await;
                 if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
-                    let finals: Vec<u32> = (0..ranks)
-                        .map(|c| {
-                            if discipline == Discipline::Software {
-                                comm.invalidate_line(counter_addr(c));
-                            }
-                            let v = comm.load_u32(counter_addr(c));
-                            assert_eq!(v, rounds as u32, "counter {c}");
-                            v
-                        })
-                        .collect();
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
+                    let mut finals = Vec::with_capacity(ranks);
+                    for c in 0..ranks {
+                        if discipline == Discipline::Software {
+                            comm.invalidate_line(counter_addr(c)).await;
+                        }
+                        let v = comm.load_u32(counter_addr(c)).await;
+                        assert_eq!(v, rounds as u32, "counter {c}");
+                        finals.push(v);
+                    }
                     *sink.lock().unwrap() = finals;
                 }
-            }) as Kernel
+            })
         })
         .collect();
 

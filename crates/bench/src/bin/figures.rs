@@ -33,6 +33,22 @@ use medea_noc::network::Network;
 use medea_noc::traffic::{run_open_loop, Pattern, TrafficConfig};
 use std::time::Instant;
 
+const USAGE: &str = "usage: figures <experiment> [--quick] [--size N] [--threads T]";
+
+/// Reject a bad invocation: print `msg` and the usage line, exit 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("figures: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The number after `flag`, at least `min`, or a rejected invocation.
+fn number_arg(value: Option<&String>, flag: &str, min: usize) -> usize {
+    value
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|n| *n >= min)
+        .unwrap_or_else(|| usage_error(format!("{flag} needs a number of at least {min}")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiment = None;
@@ -43,25 +59,14 @@ fn main() {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => effort = Effort::Quick,
-            "--size" => {
-                size_override = iter.next().and_then(|s| s.parse::<usize>().ok());
-            }
-            "--threads" => {
-                if let Some(t) = iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                    threads = t.max(1);
-                }
-            }
+            // A Jacobi grid needs at least one interior row.
+            "--size" => size_override = Some(number_arg(iter.next(), "--size", 3)),
+            "--threads" => threads = number_arg(iter.next(), "--threads", 1),
             other if experiment.is_none() => experiment = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unexpected argument {other}")),
         }
     }
-    let experiment = experiment.unwrap_or_else(|| {
-        eprintln!("usage: figures <experiment> [--quick] [--size N] [--threads T]");
-        std::process::exit(2);
-    });
+    let experiment = experiment.unwrap_or_else(|| usage_error("no experiment given"));
 
     match experiment.as_str() {
         "fig6" => fig_exec_time(6, size_override.unwrap_or(60), effort, threads),
@@ -93,10 +98,7 @@ fn main() {
             traffic_report();
             dse(effort, threads);
         }
-        other => {
-            eprintln!("unknown experiment {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(format!("unknown experiment {other}")),
     }
 }
 

@@ -84,7 +84,7 @@ use medea_bench::{sweep_threads, utilization_rows_json, UtilizationRow};
 use medea_core::api::PeApi;
 use medea_core::explore::{run_sweep, PreparedWorkload, SweepOutcome, SweepPoint, Workload};
 use medea_core::report::format_breakdown_table;
-use medea_core::system::{Kernel, RunResult, System};
+use medea_core::system::{kernel, Kernel, RunResult, System};
 use medea_core::{
     CachePolicy, Coherence, CollectiveAlgo, CycleBreakdown, DeadLink, Empi, FaultConfig,
     MetricsConfig, NullSink, PeActivity, ResilienceConfig, ScheduledInjector, SystemConfig,
@@ -394,23 +394,23 @@ fn collective_cycles(
     let kernels: Vec<Kernel> = (0..pes)
         .map(|r| {
             let cell = Arc::clone(&measured);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.barrier();
-                let t0 = comm.now();
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for _ in 0..COLLECTIVE_ITERS {
                     match op {
-                        "barrier" => comm.barrier(),
+                        "barrier" => comm.barrier().await,
                         "allreduce" => {
-                            let _ = comm.allreduce(r as f64 + 0.5);
+                            let _ = comm.allreduce(r as f64 + 0.5).await;
                         }
                         other => unreachable!("unknown collective op {other}"),
                     }
                 }
                 if r == 0 {
-                    cell.store((comm.now() - t0) / COLLECTIVE_ITERS, Ordering::SeqCst);
+                    cell.store((comm.now().await - t0) / COLLECTIVE_ITERS, Ordering::SeqCst);
                 }
-            }) as Kernel
+            })
         })
         .collect();
     System::run(&cfg, &[], kernels).expect("collective bench run");
@@ -708,14 +708,14 @@ fn run_resilience(smoke: bool) -> Vec<medea_core::report::ResilienceRow> {
             .expect("bank-hammer configuration");
         let kernels: Vec<Kernel> = (0..pes)
             .map(|r| {
-                Box::new(move |api: PeApi| {
+                kernel(move |api: PeApi| async move {
                     let comm = Empi::new(api);
                     for i in 0..ops {
                         let addr = 0x100 + ((r * ops + i) as u32 % 64) * 4;
-                        comm.uncached_store_u32(addr, i as u32);
-                        let _ = comm.uncached_load_u32(addr);
+                        comm.uncached_store_u32(addr, i as u32).await;
+                        let _ = comm.uncached_load_u32(addr).await;
                     }
-                }) as Kernel
+                })
             })
             .collect();
         let schedule = FaultConfig {

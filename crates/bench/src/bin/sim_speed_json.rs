@@ -16,7 +16,7 @@ use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_bench::base_builder;
 use medea_core::api::PeApi;
 use medea_core::explore::Workload as _;
-use medea_core::system::{Kernel, RunResult, System};
+use medea_core::system::{kernel, Kernel, RunResult, System};
 use medea_core::{Empi, SystemConfig};
 use medea_sim::ids::Rank;
 
@@ -62,17 +62,17 @@ fn measure(
 }
 
 fn pingpong_kernels(rounds: u32) -> Vec<Kernel> {
-    let ping: Kernel = Box::new(move |api: PeApi| {
+    let ping: Kernel = kernel(move |api: PeApi| async move {
         for i in 1..=rounds {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
+            api.send_to_rank(Rank::new(1), &[i]).await;
+            let back = api.recv_from_rank(Rank::new(1)).await;
             assert_eq!(back[0], i);
         }
     });
-    let pong: Kernel = Box::new(move |api: PeApi| {
+    let pong: Kernel = kernel(move |api: PeApi| async move {
         for _ in 1..=rounds {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
+            let v = api.recv_from_rank(Rank::new(0)).await;
+            api.send_to_rank(Rank::new(0), &v).await;
         }
     });
     vec![ping, pong]
@@ -81,14 +81,14 @@ fn pingpong_kernels(rounds: u32) -> Vec<Kernel> {
 fn reduce_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 for _ in 0..iters {
-                    comm.compute(200 + 37 * r as u64);
-                    comm.barrier();
-                    let _ = comm.allreduce(r as f64 + 0.5);
+                    comm.compute(200 + 37 * r as u64).await;
+                    comm.barrier().await;
+                    let _ = comm.allreduce(r as f64 + 0.5).await;
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -103,19 +103,19 @@ fn reduce_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
 fn imbalanced_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
+            kernel(move |api: PeApi| async move {
                 for _ in 0..iters {
                     if api.rank().is_master() {
-                        api.compute(150_000);
+                        api.compute(150_000).await;
                         for dst in 1..api.ranks() {
-                            api.send_to_rank(Rank::new(dst as u8), &[1]);
+                            api.send_to_rank(Rank::new(dst as u8), &[1]).await;
                         }
                     } else {
-                        let _ = api.recv_from_rank(Rank::new(0));
-                        api.compute(2_000 + 53 * r as u64);
+                        let _ = api.recv_from_rank(Rank::new(0)).await;
+                        api.compute(2_000 + 53 * r as u64).await;
                     }
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }

@@ -21,6 +21,7 @@
 //! flit-latency percentiles and a trace summary (event counts per class,
 //! peak link load, lock contention) are printed alongside.
 
+use medea_apps::grid::max_ranks;
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_apps::workloads::{pingpong_kernels, trace_mix_kernels};
 use medea_core::explore::Workload as _;
@@ -38,6 +39,23 @@ const PINGPONG_ROUNDS: u32 = 40;
 
 /// Lock-guarded counter rounds of the mixed workload.
 const MIX_LOCK_ROUNDS: usize = 4;
+
+/// Grid side of `--workload jacobi`.
+const JACOBI_GRID: usize = 16;
+
+const USAGE: &str = "usage: trace_json [--workload pingpong|mixed|jacobi] [--side N] [--pes N] \
+                     [--banks N] [--capacity N] [--csv CSV_PATH] [OUT_PATH]";
+
+/// Reject a bad invocation: print `msg` and the usage line, exit 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("trace_json: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parse the value of `flag`, or reject the invocation.
+fn number<T: std::str::FromStr>(value: String, flag: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage_error(format!("{flag} needs a number, got {value:?}")))
+}
 
 struct Args {
     workload: String,
@@ -60,28 +78,18 @@ fn parse_args() -> Args {
         out_path: "BENCH_trace.json".to_owned(),
     };
     let mut it = std::env::args().skip(1);
-    let usage = "usage: trace_json [--workload pingpong|mixed|jacobi] [--side N] [--pes N] \
-                 [--banks N] [--capacity N] [--csv CSV_PATH] [OUT_PATH]";
     let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value; {usage}");
-            std::process::exit(2);
-        })
+        it.next().unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workload" => args.workload = value(&mut it, "--workload"),
-            "--side" => args.side = value(&mut it, "--side").parse().expect("--side N"),
-            "--pes" => args.pes = Some(value(&mut it, "--pes").parse().expect("--pes N")),
-            "--banks" => args.banks = value(&mut it, "--banks").parse().expect("--banks N"),
-            "--capacity" => {
-                args.capacity = value(&mut it, "--capacity").parse().expect("--capacity N");
-            }
+            "--side" => args.side = number(value(&mut it, "--side"), "--side"),
+            "--pes" => args.pes = Some(number(value(&mut it, "--pes"), "--pes")),
+            "--banks" => args.banks = number(value(&mut it, "--banks"), "--banks"),
+            "--capacity" => args.capacity = number(value(&mut it, "--capacity"), "--capacity"),
             "--csv" => args.csv_path = Some(value(&mut it, "--csv")),
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag {flag}; {usage}");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with('-') => usage_error(format!("unknown flag {flag}")),
             path => args.out_path = path.to_owned(),
         }
     }
@@ -90,22 +98,30 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let topology = Topology::new(args.side, args.side).expect("valid square torus");
+    let topology = Topology::new(args.side, args.side)
+        .unwrap_or_else(|e| usage_error(format!("--side {}: {e}", args.side)));
     let free_nodes =
         topology.nodes().checked_sub(args.banks).filter(|n| *n > 0).unwrap_or_else(|| {
-            eprintln!("--banks {} leaves no PE node on a {topology}", args.banks);
-            std::process::exit(2);
+            usage_error(format!("--banks {} leaves no PE node on a {topology}", args.banks))
         });
     let default_pes = match args.workload.as_str() {
         "pingpong" => 2,
         "mixed" => 5.min(free_nodes),
         "jacobi" => 4.min(free_nodes),
-        other => {
-            eprintln!("unknown workload {other} (pingpong|mixed|jacobi)");
-            std::process::exit(2);
-        }
+        other => usage_error(format!("unknown workload {other} (pingpong|mixed|jacobi)")),
     };
     let pes = args.pes.unwrap_or(default_pes);
+    match args.workload.as_str() {
+        "pingpong" if pes != 2 => {
+            usage_error(format!("--workload pingpong runs on 2 PEs, not {pes}"))
+        }
+        "jacobi" if pes > max_ranks(JACOBI_GRID) => usage_error(format!(
+            "--workload jacobi runs on at most {} PEs (one per interior row of its \
+             {JACOBI_GRID}x{JACOBI_GRID} grid), not {pes}",
+            max_ranks(JACOBI_GRID)
+        )),
+        _ => {}
+    }
     let cfg = SystemConfig::builder()
         .topology(topology)
         .compute_pes(pes)
@@ -113,14 +129,14 @@ fn main() {
         .cycle_limit(400_000_000)
         .trace(TraceConfig::all())
         .build()
-        .expect("trace point configuration");
+        .unwrap_or_else(|e| usage_error(e));
 
     let (preload, kernels): (Vec<(u32, u32)>, Vec<Kernel>) = match args.workload.as_str() {
         "pingpong" => (Vec::new(), pingpong_kernels(PINGPONG_ROUNDS)),
         "mixed" => (Vec::new(), trace_mix_kernels(pes, MIX_LOCK_ROUNDS)),
         "jacobi" => {
             let workload = JacobiWorkload {
-                jcfg: JacobiConfig::new(16, JacobiVariant::HybridFullMp)
+                jcfg: JacobiConfig::new(JACOBI_GRID, JacobiVariant::HybridFullMp)
                     .with_warmup_iters(0)
                     .with_measured_iters(1),
             };

@@ -1,22 +1,24 @@
 //! The architectural-operation API kernels program against.
 //!
 //! [`PeApi`] wraps the raw request/response port with typed helpers. Every
-//! method costs simulated time on the owning PE; pure Rust computation
-//! between calls is free and stands for work charged explicitly via
-//! [`PeApi::compute`] / the FP helpers (DESIGN.md §2).
+//! architectural method is an `async fn` that costs simulated time on the
+//! owning PE; pure Rust computation between calls is free and stands for
+//! work charged explicitly via [`PeApi::compute`] / the FP helpers
+//! (DESIGN.md §2). A kernel is an `async` block over its `PeApi`, built
+//! with [`crate::system::kernel`]; the PE polls it once per operation.
 //!
 //! # Panics
 //!
-//! All methods panic if the simulation engine is torn down while the kernel
-//! runs (cycle limit or deadlock) — the kernel thread unwinds and the
-//! engine reports the underlying [`crate::RunError`] instead.
+//! Awaiting two operations of one `PeApi` at once (for example by polling
+//! both futures by hand) panics, naming the node: a PE runs one
+//! architectural operation at a time. A run that stops early (cycle
+//! limit, deadlock) drops the suspended kernel futures; nothing panics.
 
 use crate::config::{NodePlan, ResilienceConfig};
 use crate::empi::CollectiveAlgo;
 use crate::layout::MemoryMap;
 use medea_cache::{line_of, Addr, LINE_BYTES};
-use medea_pe::kernel_if::{PeRequest, PeResponse};
-use medea_pe::pe::PePort;
+use medea_pe::kernel_if::{Call, KernelInstaller, PePort, PeRequest, PeResponse};
 use medea_pe::tie::Packet;
 use medea_sim::ids::{NodeId, Rank};
 use medea_sim::Cycle;
@@ -65,19 +67,24 @@ impl PeApi {
         self.collective_algo
     }
 
-    fn call(&self, req: PeRequest) -> PeResponse {
-        self.port.call(req).expect("simulation engine terminated while kernel was running")
+    fn call(&self, req: PeRequest) -> Call<'_> {
+        self.port.call(req)
     }
 
-    fn unit(&self, req: PeRequest) {
-        match self.call(req) {
+    /// A handle that installs the kernel future driving this PE.
+    pub(crate) fn installer(&self) -> KernelInstaller {
+        self.port.installer()
+    }
+
+    async fn unit(&self, req: PeRequest) {
+        match self.call(req).await {
             PeResponse::Unit => {}
             other => unreachable!("expected Unit, got {other:?}"),
         }
     }
 
-    fn f64_resp(&self, req: PeRequest) -> f64 {
-        match self.call(req) {
+    async fn f64_resp(&self, req: PeRequest) -> f64 {
+        match self.call(req).await {
             PeResponse::F64(v) => v,
             other => unreachable!("expected F64, got {other:?}"),
         }
@@ -118,33 +125,33 @@ impl PeApi {
     // ---- compute ----
 
     /// Charge `cycles` of local computation.
-    pub fn compute(&self, cycles: Cycle) {
-        self.unit(PeRequest::Compute { cycles });
+    pub async fn compute(&self, cycles: Cycle) {
+        self.unit(PeRequest::Compute { cycles }).await;
     }
 
     /// Double-precision add (19 cycles).
-    pub fn fadd(&self, a: f64, b: f64) -> f64 {
-        self.f64_resp(PeRequest::FpAdd { a, b })
+    pub async fn fadd(&self, a: f64, b: f64) -> f64 {
+        self.f64_resp(PeRequest::FpAdd { a, b }).await
     }
 
     /// Double-precision subtract (19 cycles).
-    pub fn fsub(&self, a: f64, b: f64) -> f64 {
-        self.f64_resp(PeRequest::FpSub { a, b })
+    pub async fn fsub(&self, a: f64, b: f64) -> f64 {
+        self.f64_resp(PeRequest::FpSub { a, b }).await
     }
 
     /// Double-precision multiply (26 or 60 cycles per the MulOption).
-    pub fn fmul(&self, a: f64, b: f64) -> f64 {
-        self.f64_resp(PeRequest::FpMul { a, b })
+    pub async fn fmul(&self, a: f64, b: f64) -> f64 {
+        self.f64_resp(PeRequest::FpMul { a, b }).await
     }
 
     /// Double-precision divide.
-    pub fn fdiv(&self, a: f64, b: f64) -> f64 {
-        self.f64_resp(PeRequest::FpDiv { a, b })
+    pub async fn fdiv(&self, a: f64, b: f64) -> f64 {
+        self.f64_resp(PeRequest::FpDiv { a, b }).await
     }
 
     /// Current cycle count (CCOUNT equivalent; costs one cycle).
-    pub fn now(&self) -> Cycle {
-        match self.call(PeRequest::Now) {
+    pub async fn now(&self) -> Cycle {
+        match self.call(PeRequest::Now).await {
             PeResponse::Time(t) => t,
             other => unreachable!("expected Time, got {other:?}"),
         }
@@ -153,56 +160,56 @@ impl PeApi {
     // ---- cached memory ----
 
     /// Load a word through the L1 cache.
-    pub fn load_u32(&self, addr: Addr) -> u32 {
-        match self.call(PeRequest::LoadWord { addr }) {
+    pub async fn load_u32(&self, addr: Addr) -> u32 {
+        match self.call(PeRequest::LoadWord { addr }).await {
             PeResponse::Word(w) => w,
             other => unreachable!("expected Word, got {other:?}"),
         }
     }
 
     /// Store a word through the L1 cache.
-    pub fn store_u32(&self, addr: Addr, value: u32) {
-        self.unit(PeRequest::StoreWord { addr, value });
+    pub async fn store_u32(&self, addr: Addr, value: u32) {
+        self.unit(PeRequest::StoreWord { addr, value }).await;
     }
 
     /// Load a double through the L1 cache.
-    pub fn load_f64(&self, addr: Addr) -> f64 {
-        self.f64_resp(PeRequest::LoadF64 { addr })
+    pub async fn load_f64(&self, addr: Addr) -> f64 {
+        self.f64_resp(PeRequest::LoadF64 { addr }).await
     }
 
     /// Store a double through the L1 cache.
-    pub fn store_f64(&self, addr: Addr, value: f64) {
-        self.unit(PeRequest::StoreF64 { addr, value });
+    pub async fn store_f64(&self, addr: Addr, value: f64) {
+        self.unit(PeRequest::StoreF64 { addr, value }).await;
     }
 
     // ---- software coherence (§II-E) ----
 
     /// Flush the line containing `addr` (write back if dirty).
-    pub fn flush_line(&self, addr: Addr) {
-        self.unit(PeRequest::FlushLine { addr });
+    pub async fn flush_line(&self, addr: Addr) {
+        self.unit(PeRequest::FlushLine { addr }).await;
     }
 
     /// DII-invalidate the line containing `addr`.
-    pub fn invalidate_line(&self, addr: Addr) {
-        self.unit(PeRequest::InvalidateLine { addr });
+    pub async fn invalidate_line(&self, addr: Addr) {
+        self.unit(PeRequest::InvalidateLine { addr }).await;
     }
 
     /// Flush every line of `[base, base + bytes)`.
-    pub fn flush_region(&self, base: Addr, bytes: u32) {
+    pub async fn flush_region(&self, base: Addr, bytes: u32) {
         let mut line = line_of(base);
         let end = base.saturating_add(bytes);
         while line < end {
-            self.flush_line(line);
+            self.flush_line(line).await;
             line += LINE_BYTES as Addr;
         }
     }
 
     /// Invalidate every line of `[base, base + bytes)`.
-    pub fn invalidate_region(&self, base: Addr, bytes: u32) {
+    pub async fn invalidate_region(&self, base: Addr, bytes: u32) {
         let mut line = line_of(base);
         let end = base.saturating_add(bytes);
         while line < end {
-            self.invalidate_line(line);
+            self.invalidate_line(line).await;
             line += LINE_BYTES as Addr;
         }
     }
@@ -210,42 +217,42 @@ impl PeApi {
     // ---- uncached shared accesses ----
 
     /// Read a word bypassing the cache (uncacheable shared data, §II-E).
-    pub fn uncached_load_u32(&self, addr: Addr) -> u32 {
-        match self.call(PeRequest::UncachedLoad { addr }) {
+    pub async fn uncached_load_u32(&self, addr: Addr) -> u32 {
+        match self.call(PeRequest::UncachedLoad { addr }).await {
             PeResponse::Word(w) => w,
             other => unreachable!("expected Word, got {other:?}"),
         }
     }
 
     /// Write a word bypassing the cache.
-    pub fn uncached_store_u32(&self, addr: Addr, value: u32) {
-        self.unit(PeRequest::UncachedStore { addr, value });
+    pub async fn uncached_store_u32(&self, addr: Addr, value: u32) {
+        self.unit(PeRequest::UncachedStore { addr, value }).await;
     }
 
     /// Read a double with two uncached word transactions.
-    pub fn uncached_load_f64(&self, addr: Addr) -> f64 {
-        let lo = self.uncached_load_u32(addr);
-        let hi = self.uncached_load_u32(addr + 4);
+    pub async fn uncached_load_f64(&self, addr: Addr) -> f64 {
+        let lo = self.uncached_load_u32(addr).await;
+        let hi = self.uncached_load_u32(addr + 4).await;
         medea_pe::kernel_if::words_to_f64(lo, hi)
     }
 
     /// Write a double with two uncached word transactions.
-    pub fn uncached_store_f64(&self, addr: Addr, value: f64) {
+    pub async fn uncached_store_f64(&self, addr: Addr, value: f64) {
         let (lo, hi) = medea_pe::kernel_if::f64_to_words(value);
-        self.uncached_store_u32(addr, lo);
-        self.uncached_store_u32(addr + 4, hi);
+        self.uncached_store_u32(addr, lo).await;
+        self.uncached_store_u32(addr + 4, hi).await;
     }
 
     // ---- atomic sections ----
 
     /// Acquire the MPMMU lock on `addr` (blocks with Nack-retry).
-    pub fn lock(&self, addr: Addr) {
-        self.unit(PeRequest::Lock { addr });
+    pub async fn lock(&self, addr: Addr) {
+        self.unit(PeRequest::Lock { addr }).await;
     }
 
     /// Release the MPMMU lock on `addr`.
-    pub fn unlock(&self, addr: Addr) {
-        self.unit(PeRequest::Unlock { addr });
+    pub async fn unlock(&self, addr: Addr) {
+        self.unit(PeRequest::Unlock { addr }).await;
     }
 
     // ---- raw TIE messaging ----
@@ -259,24 +266,24 @@ impl PeApi {
     /// # Panics
     ///
     /// Panics if the payload is empty or longer than 16 words.
-    pub fn send_to_rank(&self, rank: Rank, payload: &[u32]) {
+    pub async fn send_to_rank(&self, rank: Rank, payload: &[u32]) {
         let dest = self.node_of_rank(rank);
-        self.unit(PeRequest::Send { dest, payload: payload.to_vec() });
+        self.unit(PeRequest::Send { dest, payload: payload.to_vec() }).await;
     }
 
     /// Block until a packet from `rank` arrives; returns its (padded)
     /// payload.
-    pub fn recv_from_rank(&self, rank: Rank) -> Vec<u32> {
+    pub async fn recv_from_rank(&self, rank: Rank) -> Vec<u32> {
         let src = self.src_id_of_rank(rank);
-        match self.call(PeRequest::Recv { from: Some(src) }) {
+        match self.call(PeRequest::Recv { from: Some(src) }).await {
             PeResponse::Packet(p) => p.data,
             other => unreachable!("expected Packet, got {other:?}"),
         }
     }
 
     /// Block until a packet from anyone arrives.
-    pub fn recv_any(&self) -> (Rank, Vec<u32>) {
-        match self.call(PeRequest::Recv { from: None }) {
+    pub async fn recv_any(&self) -> (Rank, Vec<u32>) {
+        match self.call(PeRequest::Recv { from: None }).await {
             PeResponse::Packet(Packet { src, data, .. }) => {
                 let rank = self
                     .plan
@@ -297,23 +304,23 @@ impl PeApi {
     /// the engine in zero simulated cycles and updates no statistic, so
     /// spans never perturb a run. The eMPI layer calls this around its
     /// collectives; kernels may delimit their own phases too.
-    pub fn trace_span_begin(&self, op: KernelOp) {
+    pub async fn trace_span_begin(&self, op: KernelOp) {
         if self.trace_spans {
-            self.unit(PeRequest::TraceSpan { op, begin: true });
+            self.unit(PeRequest::TraceSpan { op, begin: true }).await;
         }
     }
 
     /// Close the innermost kernel-level trace span for `op`.
-    pub fn trace_span_end(&self, op: KernelOp) {
+    pub async fn trace_span_end(&self, op: KernelOp) {
         if self.trace_spans {
-            self.unit(PeRequest::TraceSpan { op, begin: false });
+            self.unit(PeRequest::TraceSpan { op, begin: false }).await;
         }
     }
 
     /// Non-blocking receive from `rank`.
-    pub fn try_recv_from_rank(&self, rank: Rank) -> Option<Vec<u32>> {
+    pub async fn try_recv_from_rank(&self, rank: Rank) -> Option<Vec<u32>> {
         let src = self.src_id_of_rank(rank);
-        match self.call(PeRequest::TryRecv { from: Some(src) }) {
+        match self.call(PeRequest::TryRecv { from: Some(src) }).await {
             PeResponse::MaybePacket(p) => p.map(|p| p.data),
             other => unreachable!("expected MaybePacket, got {other:?}"),
         }
@@ -324,18 +331,18 @@ impl PeApi {
     /// Blocking receive from `rank` that also reports whether the packet's
     /// payload checksum failed. Fault-free packets always return
     /// `corrupt == false`; only the resilient eMPI path inspects the flag.
-    pub fn recv_from_rank_flagged(&self, rank: Rank) -> (Vec<u32>, bool) {
+    pub async fn recv_from_rank_flagged(&self, rank: Rank) -> (Vec<u32>, bool) {
         let src = self.src_id_of_rank(rank);
-        match self.call(PeRequest::Recv { from: Some(src) }) {
+        match self.call(PeRequest::Recv { from: Some(src) }).await {
             PeResponse::Packet(p) => (p.data, p.corrupt),
             other => unreachable!("expected Packet, got {other:?}"),
         }
     }
 
     /// Non-blocking variant of [`PeApi::recv_from_rank_flagged`].
-    pub fn try_recv_from_rank_flagged(&self, rank: Rank) -> Option<(Vec<u32>, bool)> {
+    pub async fn try_recv_from_rank_flagged(&self, rank: Rank) -> Option<(Vec<u32>, bool)> {
         let src = self.src_id_of_rank(rank);
-        match self.call(PeRequest::TryRecv { from: Some(src) }) {
+        match self.call(PeRequest::TryRecv { from: Some(src) }).await {
             PeResponse::MaybePacket(p) => p.map(|p| (p.data, p.corrupt)),
             other => unreachable!("expected MaybePacket, got {other:?}"),
         }
@@ -343,32 +350,34 @@ impl PeApi {
 
     /// Report resilience-protocol activity (retransmitted chunks, NACKs
     /// sent) to the engine's per-PE statistics. Zero simulated cycles.
-    pub fn fault_note(&self, retransmits: u32, nacks: u32) {
-        self.unit(PeRequest::FaultNote { retransmits, nacks });
+    pub async fn fault_note(&self, retransmits: u32, nacks: u32) {
+        self.unit(PeRequest::FaultNote { retransmits, nacks }).await;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use medea_pe::pe::ProcessingElement;
 
     // PeApi's behaviour is exercised end-to-end by the system tests; here
     // we only verify the pure helpers.
 
     #[test]
     fn rank_node_src_mapping() {
-        // Construct the mapping logic without a live port via a tiny probe:
-        // node_of_rank/src_id_of_rank depend only on rank arithmetic.
+        // node_of_rank/src_id_of_rank depend only on rank arithmetic, so a
+        // PeApi is checked inside the PE constructor's install hook,
+        // without running a kernel.
         let layout = MemoryMap::new(4, 1024, 1024).unwrap();
-        let plan = crate::SystemConfig::builder().compute_pes(4).build().unwrap().node_plan();
-        // PeApi requires a port; spawn a dummy host pair.
-        let host: medea_sim::coroutine::KernelHost<PeRequest, PeResponse>;
-        let (api, h) = {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let h = medea_sim::coroutine::KernelHost::spawn("t", move |port| {
+        let cfg = crate::SystemConfig::builder().compute_pes(4).build().unwrap();
+        let plan = cfg.node_plan();
+        let rank = Rank::new(2);
+        let mut seen = None;
+        let mut pe =
+            ProcessingElement::new(cfg.pe_config(rank), cfg.topology(), cfg.bank_map(), |port| {
                 let api = PeApi::new(
                     port,
-                    Rank::new(2),
+                    rank,
                     4,
                     layout,
                     plan,
@@ -376,22 +385,19 @@ mod tests {
                     false,
                     ResilienceConfig::off(),
                 );
-                tx.send((
+                seen = Some((
                     api.node_of_rank(Rank::new(0)),
                     api.node_of_rank(Rank::new(3)),
                     api.src_id_of_rank(Rank::new(2)),
                     api.private_base(),
-                ))
-                .unwrap();
+                ));
             });
-            (rx.recv().unwrap(), h)
-        };
-        host = h;
-        let (n0, n3, src2, base) = api;
+        pe.tick(0);
+        assert!(pe.is_done(), "a PE whose hook installs no kernel finishes at once");
+        let (n0, n3, src2, base) = seen.expect("install hook ran");
         assert_eq!(n0, NodeId::new(1));
         assert_eq!(n3, NodeId::new(4));
         assert_eq!(src2, 3);
         assert_eq!(base, 1024 + 2 * 1024);
-        drop(host);
     }
 }

@@ -202,7 +202,7 @@ impl SystemConfig {
     }
 
     /// Whether kernels should issue eMPI span markers (the one event
-    /// source originating on kernel threads).
+    /// source originating in kernel code).
     pub const fn trace_kernel_spans(&self) -> bool {
         self.trace.captures(EventClass::KERNEL)
     }

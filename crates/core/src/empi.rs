@@ -116,7 +116,6 @@ use crate::calib::CALL_OVERHEAD_CYCLES;
 use medea_pe::kernel_if::{f64_to_words, words_to_f64};
 use medea_sim::ids::Rank;
 use medea_trace::KernelOp;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -249,21 +248,21 @@ pub struct Empi {
     api: PeApi,
     algo: CollectiveAlgo,
     /// Reusable staging buffer for one outgoing packet (≤ 16 words).
-    packet: RefCell<Vec<u32>>,
+    packet: Vec<u32>,
     /// Reusable staging buffer for f64 → word conversion on the send side.
-    staging: RefCell<Vec<u32>>,
+    staging: Vec<u32>,
     /// Resilient-delivery knobs (`ResilienceConfig` on the system). All
     /// three maps below stay empty when retransmission is off.
     resilience: crate::config::ResilienceConfig,
     /// Last message per destination, kept for NACK-driven retransmission
     /// until overwritten by the next send to the same rank.
-    sent_cache: RefCell<HashMap<u8, SentMsg>>,
+    sent_cache: HashMap<u8, SentMsg>,
     /// Alternating-bit serial of the *latest* message sent per
     /// destination.
-    send_serials: RefCell<HashMap<u8, u32>>,
+    send_serials: HashMap<u8, u32>,
     /// Alternating-bit serial of the *last completed* message received
     /// per source (the next expected serial is its complement).
-    recv_serials: RefCell<HashMap<u8, u32>>,
+    recv_serials: HashMap<u8, u32>,
 }
 
 impl std::ops::Deref for Empi {
@@ -288,12 +287,12 @@ impl Empi {
         Empi {
             api,
             algo,
-            packet: RefCell::new(Vec::with_capacity(1 + CHUNK_DATA_WORDS)),
-            staging: RefCell::new(Vec::with_capacity(64)),
+            packet: Vec::with_capacity(1 + CHUNK_DATA_WORDS),
+            staging: Vec::with_capacity(64),
             resilience,
-            sent_cache: RefCell::new(HashMap::new()),
-            send_serials: RefCell::new(HashMap::new()),
-            recv_serials: RefCell::new(HashMap::new()),
+            sent_cache: HashMap::new(),
+            send_serials: HashMap::new(),
+            recv_serials: HashMap::new(),
         }
     }
 
@@ -312,14 +311,12 @@ impl Empi {
         &self.api
     }
 
-    /// Delimit `f` with kernel-level trace span markers for `op` — a
-    /// no-op (and zero simulated cycles regardless) unless the system
-    /// traces the `KERNEL` event class.
-    fn span<R>(&self, op: KernelOp, f: impl FnOnce(&Self) -> R) -> R {
-        self.api.trace_span_begin(op);
-        let result = f(self);
-        self.api.trace_span_end(op);
-        result
+    /// Open the kernel-level trace span of an eMPI call and charge the
+    /// call overhead. Spans are a no-op (and zero simulated cycles
+    /// regardless) unless the system traces the `KERNEL` event class.
+    async fn enter(&self, op: KernelOp) {
+        self.api.trace_span_begin(op).await;
+        self.api.compute(CALL_OVERHEAD_CYCLES).await;
     }
 
     // ---- point to point ----
@@ -333,18 +330,17 @@ impl Empi {
     /// Panics if the message exceeds [`MAX_MESSAGE_WORDS`], or if a data
     /// packet arrives while awaiting a credit (opposite-direction sends —
     /// use [`Empi::sendrecv`] for symmetric exchanges).
-    pub fn send(&self, to: Rank, words: &[u32]) {
-        self.span(KernelOp::MsgSend, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                s.resilient_engine(Some(to), words, None);
-            } else {
-                s.send_inner(to, words);
-            }
-        });
+    pub async fn send(&mut self, to: Rank, words: &[u32]) {
+        self.enter(KernelOp::MsgSend).await;
+        if self.resilient() {
+            self.resilient_engine(Some(to), words, None).await;
+        } else {
+            self.send_inner(to, words).await;
+        }
+        self.api.trace_span_end(KernelOp::MsgSend).await;
     }
 
-    fn send_inner(&self, to: Rank, words: &[u32]) {
+    async fn send_inner(&mut self, to: Rank, words: &[u32]) {
         assert!(
             words.len() <= MAX_MESSAGE_WORDS,
             "message of {} words exceeds the {MAX_MESSAGE_WORDS}-word eMPI limit \
@@ -352,13 +348,13 @@ impl Empi {
             words.len()
         );
         if words.is_empty() {
-            self.api.send_to_rank(to, &[header(KIND_DATA, 0, 0)]);
+            self.api.send_to_rank(to, &[header(KIND_DATA, 0, 0)]).await;
             return;
         }
         let total = words.len().div_ceil(CHUNK_DATA_WORDS);
         for idx in 0..total {
             if idx >= EAGER_CHUNKS && idx % EAGER_CHUNKS == 0 {
-                let credit = self.api.recv_from_rank(to);
+                let credit = self.api.recv_from_rank(to).await;
                 let (kind, _, _) = parse_header(credit[0]);
                 assert_eq!(
                     kind, KIND_CREDIT,
@@ -366,22 +362,14 @@ impl Empi {
                      opposite-direction sends — use Empi::sendrecv for the exchange"
                 );
             }
-            self.send_chunk(to, words, idx);
+            self.send_chunk(to, words, idx).await;
         }
     }
 
     /// Stage and transmit chunk `idx` of `words` via the reusable packet
     /// buffer.
-    fn send_chunk(&self, to: Rank, words: &[u32], idx: usize) {
-        let mut packet = self.packet.borrow_mut();
-        packet.clear();
-        packet.push(header(KIND_DATA, words.len(), idx));
-        if !words.is_empty() {
-            let base = idx * CHUNK_DATA_WORDS;
-            let end = (base + CHUNK_DATA_WORDS).min(words.len());
-            packet.extend_from_slice(&words[base..end]);
-        }
-        self.api.send_to_rank(to, &packet);
+    async fn send_chunk(&mut self, to: Rank, words: &[u32], idx: usize) {
+        self.send_chunk_r(to, 0, words, idx).await;
     }
 
     /// MPI_receive: block until the complete message from `from` has
@@ -392,24 +380,24 @@ impl Empi {
     /// Panics on interleaved messages from the same source (two `send`s to
     /// the same destination without an intervening `recv` pairing) and on
     /// unexpected credit packets.
-    pub fn recv(&self, from: Rank) -> Vec<u32> {
-        self.span(KernelOp::MsgRecv, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                s.resilient_engine(None, &[], Some(from)).expect("recv direction present")
-            } else {
-                s.recv_inner(from)
-            }
-        })
+    pub async fn recv(&mut self, from: Rank) -> Vec<u32> {
+        self.enter(KernelOp::MsgRecv).await;
+        let message = if self.resilient() {
+            self.resilient_engine(None, &[], Some(from)).await.expect("recv direction present")
+        } else {
+            self.recv_inner(from).await
+        };
+        self.api.trace_span_end(KernelOp::MsgRecv).await;
+        message
     }
 
-    fn recv_inner(&self, from: Rank) -> Vec<u32> {
+    async fn recv_inner(&mut self, from: Rank) -> Vec<u32> {
         let mut rx = RxState::new();
         while !rx.done() {
-            let packet = self.api.recv_from_rank(from);
+            let packet = self.api.recv_from_rank(from).await;
             let (kind, _, _) = parse_header(packet[0]);
             assert_eq!(kind, KIND_DATA, "unexpected credit packet from {from} while receiving");
-            rx.accept(&self.api, from, &packet);
+            rx.accept(&self.api, from, &packet).await;
         }
         rx.data
     }
@@ -425,33 +413,34 @@ impl Empi {
     /// blocked on a credit, so two ranks may exchange windowed messages
     /// *with each other* concurrently, and chains/rings of exchanges
     /// pipeline instead of serializing.
-    pub fn sendrecv(
-        &self,
+    pub async fn sendrecv(
+        &mut self,
         to: Option<Rank>,
         words: &[u32],
         from: Option<Rank>,
     ) -> Option<Vec<u32>> {
-        self.span(KernelOp::Sendrecv, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                return s.resilient_engine(to, words, from);
-            }
+        self.enter(KernelOp::Sendrecv).await;
+        let message = if self.resilient() {
+            self.resilient_engine(to, words, from).await
+        } else {
             match (to, from) {
                 (None, None) => None,
                 (Some(to), None) => {
-                    s.send_inner(to, words);
+                    self.send_inner(to, words).await;
                     None
                 }
-                (None, Some(from)) => Some(s.recv_inner(from)),
-                (Some(to), Some(from)) => Some(s.duplex(to, words, from)),
+                (None, Some(from)) => Some(self.recv_inner(from).await),
+                (Some(to), Some(from)) => Some(self.duplex(to, words, from).await),
             }
-        })
+        };
+        self.api.trace_span_end(KernelOp::Sendrecv).await;
+        message
     }
 
     /// The full-duplex engine behind [`Empi::sendrecv`]: one transmit
     /// state machine (chunk cursor + credit allowance) and one receive
     /// state machine, advanced until both complete.
-    fn duplex(&self, to: Rank, words: &[u32], from: Rank) -> Vec<u32> {
+    async fn duplex(&mut self, to: Rank, words: &[u32], from: Rank) -> Vec<u32> {
         assert!(
             words.len() <= MAX_MESSAGE_WORDS,
             "message of {} words exceeds the {MAX_MESSAGE_WORDS}-word eMPI limit",
@@ -467,7 +456,7 @@ impl Empi {
                 break;
             }
             if !tx_done && next < allowance {
-                self.send_chunk(to, words, next);
+                self.send_chunk(to, words, next).await;
                 next += 1;
                 continue;
             }
@@ -482,29 +471,29 @@ impl Empi {
                 );
                 *allowance += EAGER_CHUNKS;
             };
-            let take_data = |rx: &mut RxState, packet: &[u32]| {
+            let check_data = |packet: &[u32]| {
                 assert_eq!(
                     parse_header(packet[0]).0,
                     KIND_DATA,
                     "unexpected credit packet from {from} while receiving"
                 );
-                rx.accept(&self.api, from, packet);
             };
             if to == from {
-                let packet = self.api.recv_from_rank(from);
+                let packet = self.api.recv_from_rank(from).await;
                 if parse_header(packet[0]).0 == KIND_CREDIT {
                     assert!(!tx_done, "credit from {from} after the last chunk was sent");
                     allowance += EAGER_CHUNKS;
                 } else {
-                    rx.accept(&self.api, from, &packet);
+                    rx.accept(&self.api, from, &packet).await;
                 }
             } else if tx_done {
                 // Only the receive side is pending.
-                let packet = self.api.recv_from_rank(from);
-                take_data(&mut rx, &packet);
+                let packet = self.api.recv_from_rank(from).await;
+                check_data(&packet);
+                rx.accept(&self.api, from, &packet).await;
             } else if rx.done() {
                 // Only the credit wait is pending.
-                let credit = self.api.recv_from_rank(to);
+                let credit = self.api.recv_from_rank(to).await;
                 take_credit(&mut allowance, &credit);
             } else {
                 // Both directions pending against *different* peers: poll
@@ -512,10 +501,11 @@ impl Empi {
                 // other (a chain of sendrecvs pipelines instead of
                 // cascading serially). TryRecv charges at least one cycle,
                 // so the simulation always advances.
-                if let Some(credit) = self.api.try_recv_from_rank(to) {
+                if let Some(credit) = self.api.try_recv_from_rank(to).await {
                     take_credit(&mut allowance, &credit);
-                } else if let Some(packet) = self.api.try_recv_from_rank(from) {
-                    take_data(&mut rx, &packet);
+                } else if let Some(packet) = self.api.try_recv_from_rank(from).await {
+                    check_data(&packet);
+                    rx.accept(&self.api, from, &packet).await;
                 }
             }
         }
@@ -533,8 +523,8 @@ impl Empi {
     /// Every wait polls (`TryRecv` costs at least one cycle, so the
     /// simulation always advances); timeouts back off exponentially,
     /// capped at 16× `empi_timeout`.
-    fn resilient_engine(
-        &self,
+    async fn resilient_engine(
+        &mut self,
         to: Option<Rank>,
         words: &[u32],
         from: Option<Rank>,
@@ -548,9 +538,7 @@ impl Empi {
                     words.len()
                 );
                 let serial = self.next_send_serial(to);
-                self.sent_cache
-                    .borrow_mut()
-                    .insert(to.index() as u8, SentMsg { serial, words: words.to_vec() });
+                self.sent_cache.insert(to.index() as u8, SentMsg { serial, words: words.to_vec() });
                 (serial, chunks_of(words))
             }
             None => (0, 0),
@@ -563,7 +551,7 @@ impl Empi {
         let mut retransmits = 0u32;
         let mut nacks = 0u32;
         let mut attempt = 0u32;
-        let mut deadline = self.api.now() + cfg.empi_timeout;
+        let mut deadline = self.api.now().await + cfg.empi_timeout;
         loop {
             let rx_done = from.is_none() || rx.done();
             if tx_acked && rx_done {
@@ -571,20 +559,23 @@ impl Empi {
             }
             if next < total_tx && next < allowance {
                 let to = to.expect("transmitting implies a destination");
-                self.send_chunk_r(to, tx_serial, words, next);
+                self.send_chunk_r(to, tx_serial, words, next).await;
                 next += 1;
                 continue;
             }
             // Poll the peers this exchange involves (one poll per
             // iteration keeps the two directions fair).
             let intake = match (to, from) {
-                (Some(t), Some(f)) if t != f => self
-                    .api
-                    .try_recv_from_rank_flagged(t)
-                    .map(|(w, c)| (t, w, c))
-                    .or_else(|| self.api.try_recv_from_rank_flagged(f).map(|(w, c)| (f, w, c))),
+                (Some(t), Some(f)) if t != f => {
+                    match self.api.try_recv_from_rank_flagged(t).await {
+                        Some((w, c)) => Some((t, w, c)),
+                        None => {
+                            self.api.try_recv_from_rank_flagged(f).await.map(|(w, c)| (f, w, c))
+                        }
+                    }
+                }
                 (Some(p), _) | (None, Some(p)) => {
-                    self.api.try_recv_from_rank_flagged(p).map(|(w, c)| (p, w, c))
+                    self.api.try_recv_from_rank_flagged(p).await.map(|(w, c)| (p, w, c))
                 }
                 (None, None) => unreachable!(),
             };
@@ -595,16 +586,16 @@ impl Empi {
                         // incomplete this may have been a data chunk —
                         // request the lowest missing one immediately.
                         if from == Some(peer) && !rx.done() {
-                            self.send_nack(peer, rx_serial, rx.lowest_missing());
+                            self.send_nack(peer, rx_serial, rx.lowest_missing()).await;
                             nacks += 1;
                         }
                         // A corrupted credit/ACK recovers via our timeout
                         // poke or the peer's timeout NACK.
                     }
                     Intake::Data(s) if from == Some(peer) && s == rx_serial => {
-                        rx.accept_r(&self.api, peer, &pkt, rx_serial);
+                        rx.accept_r(&self.api, peer, &pkt, rx_serial).await;
                         if rx.done() {
-                            self.send_ack(peer, rx_serial);
+                            self.send_ack(peer, rx_serial).await;
                             self.commit_recv_serial(peer);
                         }
                     }
@@ -621,7 +612,7 @@ impl Empi {
                             // Stale retransmit (poke) of a message we
                             // already completed: the peer missed our ACK —
                             // re-confirm.
-                            self.send_ack(peer, s);
+                            self.send_ack(peer, s).await;
                         }
                     }
                     Intake::Credit(s) => {
@@ -638,7 +629,7 @@ impl Empi {
                             // corruption, so the transfer degrades to
                             // NACK-paced lockstep instead of stalling.
                             if c < total_tx {
-                                self.send_chunk_r(peer, tx_serial, words, c);
+                                self.send_chunk_r(peer, tx_serial, words, c).await;
                                 if c < next {
                                     retransmits += 1;
                                 }
@@ -648,7 +639,7 @@ impl Empi {
                         } else {
                             // About an earlier, completed send to `peer`:
                             // serve it from the retransmission cache.
-                            retransmits += self.service_cached_nack(peer, s, c);
+                            retransmits += self.service_cached_nack(peer, s, c).await;
                         }
                     }
                     Intake::Ack(s) => {
@@ -660,12 +651,12 @@ impl Empi {
                     }
                 }
                 attempt = 0;
-                deadline = self.api.now() + cfg.empi_timeout;
-            } else if self.api.now() >= deadline {
+                deadline = self.api.now().await + cfg.empi_timeout;
+            } else if self.api.now().await >= deadline {
                 attempt += 1;
                 if !rx_done {
                     let from = from.expect("rx pending implies a source");
-                    self.send_nack(from, rx_serial, rx.lowest_missing());
+                    self.send_nack(from, rx_serial, rx.lowest_missing()).await;
                     nacks += 1;
                 }
                 if next >= total_tx && !tx_acked {
@@ -680,57 +671,54 @@ impl Empi {
                         // completed re-ACKs it; one still missing data
                         // NACKs what it needs.
                         let to = to.expect("tx pending implies a destination");
-                        self.send_chunk_r(to, tx_serial, words, total_tx - 1);
+                        self.send_chunk_r(to, tx_serial, words, total_tx - 1).await;
                         retransmits += 1;
                     }
                 }
-                deadline = self.api.now() + (cfg.empi_timeout << attempt.min(4));
+                deadline = self.api.now().await + (cfg.empi_timeout << attempt.min(4));
             }
         }
         if retransmits > 0 || nacks > 0 {
-            self.api.fault_note(retransmits, nacks);
+            self.api.fault_note(retransmits, nacks).await;
         }
         from.map(|_| rx.data)
     }
 
     /// `send_chunk` with the resilient header (serial bit).
-    fn send_chunk_r(&self, to: Rank, serial: u32, words: &[u32], idx: usize) {
-        let mut packet = self.packet.borrow_mut();
-        packet.clear();
-        packet.push(header_r(KIND_DATA, serial, words.len(), idx));
+    async fn send_chunk_r(&mut self, to: Rank, serial: u32, words: &[u32], idx: usize) {
+        self.packet.clear();
+        self.packet.push(header_r(KIND_DATA, serial, words.len(), idx));
         if !words.is_empty() {
             let base = idx * CHUNK_DATA_WORDS;
             let end = (base + CHUNK_DATA_WORDS).min(words.len());
-            packet.extend_from_slice(&words[base..end]);
+            self.packet.extend_from_slice(&words[base..end]);
         }
-        self.api.send_to_rank(to, &packet);
+        self.api.send_to_rank(to, &self.packet).await;
     }
 
-    fn send_nack(&self, peer: Rank, serial: u32, chunk: usize) {
-        self.api.send_to_rank(peer, &[header_r(KIND_NACK, serial, 0, chunk)]);
+    async fn send_nack(&mut self, peer: Rank, serial: u32, chunk: usize) {
+        self.api.send_to_rank(peer, &[header_r(KIND_NACK, serial, 0, chunk)]).await;
     }
 
-    fn send_ack(&self, peer: Rank, serial: u32) {
-        self.api.send_to_rank(peer, &[header_r(KIND_ACK, serial, 0, 0)]);
+    async fn send_ack(&mut self, peer: Rank, serial: u32) {
+        self.api.send_to_rank(peer, &[header_r(KIND_ACK, serial, 0, 0)]).await;
     }
 
     /// Flip and return the serial for a new message to `to`.
-    fn next_send_serial(&self, to: Rank) -> u32 {
-        let mut serials = self.send_serials.borrow_mut();
-        let s = serials.entry(to.index() as u8).or_insert(0);
+    fn next_send_serial(&mut self, to: Rank) -> u32 {
+        let s = self.send_serials.entry(to.index() as u8).or_insert(0);
         *s ^= 1;
         *s
     }
 
     /// The serial the next message from `from` will carry.
     fn expected_recv_serial(&self, from: Rank) -> u32 {
-        self.recv_serials.borrow().get(&(from.index() as u8)).copied().unwrap_or(0) ^ 1
+        self.recv_serials.get(&(from.index() as u8)).copied().unwrap_or(0) ^ 1
     }
 
     /// Record that the expected message from `from` completed.
-    fn commit_recv_serial(&self, from: Rank) {
-        let mut serials = self.recv_serials.borrow_mut();
-        let s = serials.entry(from.index() as u8).or_insert(0);
+    fn commit_recv_serial(&mut self, from: Rank) {
+        let s = self.recv_serials.entry(from.index() as u8).or_insert(0);
         *s ^= 1;
     }
 
@@ -738,30 +726,25 @@ impl Empi {
     /// from the retransmission cache. Returns the number of chunks
     /// retransmitted (0 when the cache has moved past that serial — the
     /// watchdog backstops that pathological interleaving).
-    fn service_cached_nack(&self, peer: Rank, serial: u32, chunk: usize) -> u32 {
-        let cache = self.sent_cache.borrow();
-        if let Some(msg) = cache.get(&(peer.index() as u8)) {
-            if msg.serial == serial && chunk < chunks_of(&msg.words) {
-                self.send_chunk_r(peer, serial, &msg.words, chunk);
-                return 1;
-            }
+    async fn service_cached_nack(&mut self, peer: Rank, serial: u32, chunk: usize) -> u32 {
+        let Some(msg) = self.sent_cache.remove(&(peer.index() as u8)) else {
+            return 0;
+        };
+        let served = msg.serial == serial && chunk < chunks_of(&msg.words);
+        if served {
+            self.send_chunk_r(peer, serial, &msg.words, chunk).await;
         }
-        0
+        self.sent_cache.insert(peer.index() as u8, msg);
+        u32::from(served)
     }
 
     // ---- f64 convenience ----
 
     /// Send a slice of doubles (two words each).
-    pub fn send_f64(&self, to: Rank, values: &[f64]) {
+    pub async fn send_f64(&mut self, to: Rank, values: &[f64]) {
         let stage = self.stage_f64(values);
-        self.span(KernelOp::MsgSend, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                s.resilient_engine(Some(to), &stage, None);
-            } else {
-                s.send_inner(to, &stage);
-            }
-        });
+        self.send(to, &stage).await;
+        self.staging = stage;
     }
 
     /// Receive a slice of doubles.
@@ -769,82 +752,81 @@ impl Empi {
     /// # Panics
     ///
     /// Panics if the incoming message has an odd word count.
-    pub fn recv_f64(&self, from: Rank) -> Vec<f64> {
-        let words = self.recv(from);
+    pub async fn recv_f64(&mut self, from: Rank) -> Vec<f64> {
+        let words = self.recv(from).await;
         words_to_f64_vec(&words)
     }
 
     /// [`Empi::sendrecv`] over doubles.
-    pub fn sendrecv_f64(
-        &self,
+    pub async fn sendrecv_f64(
+        &mut self,
         to: Option<Rank>,
         values: &[f64],
         from: Option<Rank>,
     ) -> Option<Vec<f64>> {
         let stage = self.stage_f64(values);
-        self.sendrecv(to, &stage, from).map(|words| words_to_f64_vec(&words))
+        let got = self.sendrecv(to, &stage, from).await;
+        self.staging = stage;
+        got.map(|words| words_to_f64_vec(&words))
     }
 
-    /// Copy `values` into the reusable word-staging buffer and hand back a
-    /// shared borrow of it — the send paths only need `&[u32]`, and the
-    /// packet buffer is a separate cell, so nothing re-enters this one
-    /// while the borrow is live.
-    fn stage_f64(&self, values: &[f64]) -> std::cell::Ref<'_, Vec<u32>> {
-        let mut stage = self.staging.borrow_mut();
+    /// Copy `values` into the reusable word-staging buffer, taken out of
+    /// the communicator so the send paths can borrow it beside `&mut
+    /// self`. Callers put it back (`self.staging = stage`) when done; a
+    /// caller that does not only costs the next one an allocation.
+    fn stage_f64(&mut self, values: &[f64]) -> Vec<u32> {
+        let mut stage = std::mem::take(&mut self.staging);
         stage.clear();
         for v in values {
             let (lo, hi) = f64_to_words(*v);
             stage.push(lo);
             stage.push(hi);
         }
-        drop(stage);
-        self.staging.borrow()
+        stage
     }
 
     // ---- collectives ----
 
     /// MPI_barrier: synchronization-token exchange over the NoC — the
     /// hybrid model's key primitive, no shared memory touched.
-    pub fn barrier(&self) {
-        self.span(KernelOp::Barrier, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            let ranks = s.api.ranks();
-            if ranks == 1 {
-                return;
-            }
-            match s.algo {
-                CollectiveAlgo::Linear => s.linear_barrier(),
+    pub async fn barrier(&mut self) {
+        self.enter(KernelOp::Barrier).await;
+        if self.api.ranks() > 1 {
+            match self.algo {
+                CollectiveAlgo::Linear => self.linear_barrier().await,
                 CollectiveAlgo::BinomialTree => {
-                    s.binomial_reduce_tokens();
-                    let _ = s.binomial_bcast(Rank::new(0), &[]);
+                    self.binomial_reduce_tokens().await;
+                    let _ = self.binomial_bcast(Rank::new(0), &[]).await;
                 }
-                CollectiveAlgo::RecursiveDoubling => s.doubling_barrier(),
+                CollectiveAlgo::RecursiveDoubling => self.doubling_barrier().await,
             }
-        });
+        }
+        self.api.trace_span_end(KernelOp::Barrier).await;
     }
 
     /// Broadcast `words` from `root` to every rank; every rank returns the
     /// message. Non-root callers' `words` are ignored (pass `&[]`).
-    pub fn bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
-        self.span(KernelOp::Bcast, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.api.ranks() == 1 {
-                return words.to_vec();
-            }
-            match s.algo {
-                CollectiveAlgo::Linear => s.linear_bcast(root, words),
+    pub async fn bcast(&mut self, root: Rank, words: &[u32]) -> Vec<u32> {
+        self.enter(KernelOp::Bcast).await;
+        let message = if self.api.ranks() == 1 {
+            words.to_vec()
+        } else {
+            match self.algo {
+                CollectiveAlgo::Linear => self.linear_bcast(root, words).await,
                 CollectiveAlgo::BinomialTree | CollectiveAlgo::RecursiveDoubling => {
-                    s.binomial_bcast(root, words)
+                    self.binomial_bcast(root, words).await
                 }
             }
-        })
+        };
+        self.api.trace_span_end(KernelOp::Bcast).await;
+        message
     }
 
     /// Broadcast doubles from `root`.
-    pub fn bcast_f64(&self, root: Rank, values: &[f64]) -> Vec<f64> {
+    pub async fn bcast_f64(&mut self, root: Rank, values: &[f64]) -> Vec<f64> {
         let stage = self.stage_f64(values);
-        let words = self.bcast(root, &stage);
-        drop(stage);
+        let words = self.bcast(root, &stage).await;
+        self.staging = stage;
         words_to_f64_vec(&words)
     }
 
@@ -852,74 +834,75 @@ impl Empi {
     /// the combining PEs). Returns `Some(sum)` at the root, `None`
     /// elsewhere. The accumulation order is fixed per algorithm, so the
     /// result is bit-deterministic run over run.
-    pub fn reduce(&self, root: Rank, value: f64) -> Option<f64> {
-        self.span(KernelOp::Reduce, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.api.ranks() == 1 {
-                return (s.api.rank() == root).then_some(value);
-            }
-            match s.algo {
-                CollectiveAlgo::Linear => s.linear_reduce(root, value),
-                CollectiveAlgo::BinomialTree => s.binomial_reduce(root, value),
+    pub async fn reduce(&mut self, root: Rank, value: f64) -> Option<f64> {
+        self.enter(KernelOp::Reduce).await;
+        let sum = if self.api.ranks() == 1 {
+            (self.api.rank() == root).then_some(value)
+        } else {
+            match self.algo {
+                CollectiveAlgo::Linear => self.linear_reduce(root, value).await,
+                CollectiveAlgo::BinomialTree => self.binomial_reduce(root, value).await,
                 CollectiveAlgo::RecursiveDoubling => {
-                    let sum = s.doubling_allreduce(value);
-                    (s.api.rank() == root).then_some(sum)
+                    let sum = self.doubling_allreduce(value).await;
+                    (self.api.rank() == root).then_some(sum)
                 }
             }
-        })
+        };
+        self.api.trace_span_end(KernelOp::Reduce).await;
+        sum
     }
 
     /// Sum-reduce one double per rank; every rank returns the sum.
-    pub fn allreduce(&self, value: f64) -> f64 {
-        self.span(KernelOp::Allreduce, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.api.ranks() == 1 {
-                return value;
-            }
-            let root = Rank::new(0);
-            match s.algo {
+    pub async fn allreduce(&mut self, value: f64) -> f64 {
+        self.enter(KernelOp::Allreduce).await;
+        let root = Rank::new(0);
+        let sum = if self.api.ranks() == 1 {
+            value
+        } else {
+            match self.algo {
                 CollectiveAlgo::Linear => {
-                    let sum = s.linear_reduce(root, value);
-                    s.linear_bcast_f64_scalar(root, sum)
+                    let sum = self.linear_reduce(root, value).await;
+                    self.linear_bcast_f64_scalar(root, sum).await
                 }
-                CollectiveAlgo::BinomialTree => {
-                    let sum = s.binomial_reduce(root, value);
-                    match sum {
-                        Some(total) => {
-                            s.binomial_bcast(root, &s.stage_f64(&[total]));
-                            total
-                        }
-                        None => {
-                            let words = s.binomial_bcast(root, &[]);
-                            words_to_f64_vec(&words)[0]
-                        }
+                CollectiveAlgo::BinomialTree => match self.binomial_reduce(root, value).await {
+                    Some(total) => {
+                        let stage = self.stage_f64(&[total]);
+                        self.binomial_bcast(root, &stage).await;
+                        self.staging = stage;
+                        total
                     }
-                }
-                CollectiveAlgo::RecursiveDoubling => s.doubling_allreduce(value),
+                    None => {
+                        let words = self.binomial_bcast(root, &[]).await;
+                        words_to_f64_vec(&words)[0]
+                    }
+                },
+                CollectiveAlgo::RecursiveDoubling => self.doubling_allreduce(value).await,
             }
-        })
+        };
+        self.api.trace_span_end(KernelOp::Allreduce).await;
+        sum
     }
 
     /// Gather each rank's `words` to `root` (rank-indexed). Returns
     /// `Some(messages)` at the root, `None` elsewhere. Linear under every
     /// algorithm — each rank contributes distinct data, so a tree cannot
     /// reduce the volume through the root's ejection port.
-    pub fn gather(&self, root: Rank, words: &[u32]) -> Option<Vec<Vec<u32>>> {
-        self.span(KernelOp::Gather, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            let ranks = s.api.ranks();
-            if s.api.rank() == root {
-                let mut out: Vec<Vec<u32>> = vec![Vec::new(); ranks];
-                out[root.index()] = words.to_vec();
-                for src in (0..ranks).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                    out[src.index()] = s.recv(src);
-                }
-                Some(out)
-            } else {
-                s.send(root, words);
-                None
+    pub async fn gather(&mut self, root: Rank, words: &[u32]) -> Option<Vec<Vec<u32>>> {
+        self.enter(KernelOp::Gather).await;
+        let ranks = self.api.ranks();
+        let gathered = if self.api.rank() == root {
+            let mut out: Vec<Vec<u32>> = vec![Vec::new(); ranks];
+            out[root.index()] = words.to_vec();
+            for src in (0..ranks).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
+                out[src.index()] = self.recv(src).await;
             }
-        })
+            Some(out)
+        } else {
+            self.send(root, words).await;
+            None
+        };
+        self.api.trace_span_end(KernelOp::Gather).await;
+        gathered
     }
 
     /// Scatter `chunks[rank]` from `root` to each rank; every rank returns
@@ -929,75 +912,75 @@ impl Empi {
     /// # Panics
     ///
     /// Panics at the root if `chunks.len()` differs from the rank count.
-    pub fn scatter(&self, root: Rank, chunks: &[Vec<u32>]) -> Vec<u32> {
-        self.span(KernelOp::Scatter, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            let ranks = s.api.ranks();
-            if s.api.rank() == root {
-                assert_eq!(chunks.len(), ranks, "scatter needs one chunk per rank");
-                for dst in (0..ranks).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                    s.send(dst, &chunks[dst.index()]);
-                }
-                chunks[root.index()].clone()
-            } else {
-                s.recv(root)
+    pub async fn scatter(&mut self, root: Rank, chunks: &[Vec<u32>]) -> Vec<u32> {
+        self.enter(KernelOp::Scatter).await;
+        let ranks = self.api.ranks();
+        let mine = if self.api.rank() == root {
+            assert_eq!(chunks.len(), ranks, "scatter needs one chunk per rank");
+            for dst in (0..ranks).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
+                self.send(dst, &chunks[dst.index()]).await;
             }
-        })
+            chunks[root.index()].clone()
+        } else {
+            self.recv(root).await
+        };
+        self.api.trace_span_end(KernelOp::Scatter).await;
+        mine
     }
 
     // ---- linear algorithms (the seed's message patterns) ----
 
-    fn linear_barrier(&self) {
+    async fn linear_barrier(&mut self) {
         let ranks = self.api.ranks();
         if self.api.rank().is_master() {
             for r in 1..ranks {
-                let _ = self.recv(Rank::new(r as u8));
+                let _ = self.recv(Rank::new(r as u8)).await;
             }
             for r in 1..ranks {
-                self.send(Rank::new(r as u8), &[]);
+                self.send(Rank::new(r as u8), &[]).await;
             }
         } else {
-            self.send(Rank::new(0), &[]);
-            let _ = self.recv(Rank::new(0));
+            self.send(Rank::new(0), &[]).await;
+            let _ = self.recv(Rank::new(0)).await;
         }
     }
 
-    fn linear_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
+    async fn linear_bcast(&mut self, root: Rank, words: &[u32]) -> Vec<u32> {
         if self.api.rank() == root {
             for dst in (0..self.api.ranks()).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                self.send(dst, words);
+                self.send(dst, words).await;
             }
             words.to_vec()
         } else {
-            self.recv(root)
+            self.recv(root).await
         }
     }
 
-    fn linear_reduce(&self, root: Rank, value: f64) -> Option<f64> {
+    async fn linear_reduce(&mut self, root: Rank, value: f64) -> Option<f64> {
         if self.api.rank() == root {
             let mut acc = value;
             for src in (0..self.api.ranks()).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                let v = self.recv_f64(src);
-                acc = self.api.fadd(acc, v[0]);
+                let v = self.recv_f64(src).await;
+                acc = self.api.fadd(acc, v[0]).await;
             }
             Some(acc)
         } else {
-            self.send_f64(root, &[value]);
+            self.send_f64(root, &[value]).await;
             None
         }
     }
 
     /// The broadcast half of the linear allreduce, kept message-for-
     /// message identical to the seed's hand-rolled gather + broadcast.
-    fn linear_bcast_f64_scalar(&self, root: Rank, sum: Option<f64>) -> f64 {
+    async fn linear_bcast_f64_scalar(&mut self, root: Rank, sum: Option<f64>) -> f64 {
         if self.api.rank() == root {
             let s = sum.expect("root holds the reduction");
             for dst in (0..self.api.ranks()).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                self.send_f64(dst, &[s]);
+                self.send_f64(dst, &[s]).await;
             }
             s
         } else {
-            self.recv_f64(root)[0]
+            self.recv_f64(root).await[0]
         }
     }
 
@@ -1016,19 +999,19 @@ impl Empi {
 
     /// Binomial reduce of one double to `root`: leaves send first, every
     /// subtree parent combines its children in ascending-mask order.
-    fn binomial_reduce(&self, root: Rank, value: f64) -> Option<f64> {
+    async fn binomial_reduce(&mut self, root: Rank, value: f64) -> Option<f64> {
         let ranks = self.api.ranks();
         let rel = self.relative_rank(root);
         let mut acc = value;
         let mut mask = 1usize;
         while mask < ranks {
             if rel & mask != 0 {
-                self.send_f64(self.absolute_rank(root, rel - mask), &[acc]);
+                self.send_f64(self.absolute_rank(root, rel - mask), &[acc]).await;
                 return None;
             }
             if rel + mask < ranks {
-                let v = self.recv_f64(self.absolute_rank(root, rel + mask));
-                acc = self.api.fadd(acc, v[0]);
+                let v = self.recv_f64(self.absolute_rank(root, rel + mask)).await;
+                acc = self.api.fadd(acc, v[0]).await;
             }
             mask <<= 1;
         }
@@ -1037,14 +1020,14 @@ impl Empi {
 
     /// Binomial broadcast from `root`: each rank receives from its parent,
     /// then forwards down its subtree in descending-mask order.
-    fn binomial_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
+    async fn binomial_bcast(&mut self, root: Rank, words: &[u32]) -> Vec<u32> {
         let ranks = self.api.ranks();
         let rel = self.relative_rank(root);
         let mut mask = 1usize;
         let mut data: Option<Vec<u32>> = (rel == 0).then(|| words.to_vec());
         while mask < ranks {
             if rel & mask != 0 {
-                data = Some(self.recv(self.absolute_rank(root, rel - mask)));
+                data = Some(self.recv(self.absolute_rank(root, rel - mask)).await);
                 break;
             }
             mask <<= 1;
@@ -1055,7 +1038,7 @@ impl Empi {
         mask >>= 1;
         while mask > 0 {
             if rel + mask < ranks {
-                self.send(self.absolute_rank(root, rel + mask), &data);
+                self.send(self.absolute_rank(root, rel + mask), &data).await;
             }
             mask >>= 1;
         }
@@ -1066,17 +1049,17 @@ impl Empi {
     /// messages, no FP combine — the FP variant would charge fake adds).
     /// The broadcast half of the barrier is just `binomial_bcast` of an
     /// empty message.
-    fn binomial_reduce_tokens(&self) {
+    async fn binomial_reduce_tokens(&mut self) {
         let ranks = self.api.ranks();
         let rel = self.api.rank().index();
         let mut mask = 1usize;
         while mask < ranks {
             if rel & mask != 0 {
-                self.send(Rank::new((rel - mask) as u8), &[]);
+                self.send(Rank::new((rel - mask) as u8), &[]).await;
                 return;
             }
             if rel + mask < ranks {
-                let _ = self.recv(Rank::new((rel + mask) as u8));
+                let _ = self.recv(Rank::new((rel + mask) as u8)).await;
             }
             mask <<= 1;
         }
@@ -1097,18 +1080,18 @@ impl Empi {
     /// Both partners of a round compute `fadd(acc, theirs)`; IEEE addition
     /// is commutative bitwise (NaN aside), so every rank converges to the
     /// same bits.
-    fn doubling_allreduce(&self, value: f64) -> f64 {
+    async fn doubling_allreduce(&mut self, value: f64) -> f64 {
         let (pof2, rem) = self.doubling_split();
         let r = self.api.rank().index();
         let mut acc = value;
         // Fold-in phase for the surplus ranks.
         let newrank = if r < 2 * rem {
             if r.is_multiple_of(2) {
-                self.send_f64(Rank::new((r + 1) as u8), &[acc]);
+                self.send_f64(Rank::new((r + 1) as u8), &[acc]).await;
                 None
             } else {
-                let v = self.recv_f64(Rank::new((r - 1) as u8));
-                acc = self.api.fadd(acc, v[0]);
+                let v = self.recv_f64(Rank::new((r - 1) as u8)).await;
+                acc = self.api.fadd(acc, v[0]).await;
                 Some(r / 2)
             }
         } else {
@@ -1123,17 +1106,18 @@ impl Empi {
                 let partner = Rank::new(partner as u8);
                 let v = self
                     .sendrecv_f64(Some(partner), &[acc], Some(partner))
+                    .await
                     .expect("duplex exchange returns the partner's value");
-                acc = self.api.fadd(acc, v[0]);
+                acc = self.api.fadd(acc, v[0]).await;
                 mask <<= 1;
             }
         }
         // Unfold phase: hand the result back to the folded-in even ranks.
         if r < 2 * rem {
             if r.is_multiple_of(2) {
-                acc = self.recv_f64(Rank::new((r + 1) as u8))[0];
+                acc = self.recv_f64(Rank::new((r + 1) as u8)).await[0];
             } else {
-                self.send_f64(Rank::new((r - 1) as u8), &[acc]);
+                self.send_f64(Rank::new((r - 1) as u8), &[acc]).await;
             }
         }
         acc
@@ -1141,15 +1125,15 @@ impl Empi {
 
     /// Recursive-doubling barrier: the allreduce exchange pattern with
     /// empty tokens.
-    fn doubling_barrier(&self) {
+    async fn doubling_barrier(&mut self) {
         let (pof2, rem) = self.doubling_split();
         let r = self.api.rank().index();
         let newrank = if r < 2 * rem {
             if r.is_multiple_of(2) {
-                self.send(Rank::new((r + 1) as u8), &[]);
+                self.send(Rank::new((r + 1) as u8), &[]).await;
                 None
             } else {
-                let _ = self.recv(Rank::new((r - 1) as u8));
+                let _ = self.recv(Rank::new((r - 1) as u8)).await;
                 Some(r / 2)
             }
         } else {
@@ -1161,19 +1145,17 @@ impl Empi {
                 let partner_new = newrank ^ mask;
                 let partner =
                     if partner_new < rem { partner_new * 2 + 1 } else { partner_new + rem };
-                let _ = self.sendrecv(
-                    Some(Rank::new(partner as u8)),
-                    &[],
-                    Some(Rank::new(partner as u8)),
-                );
+                let _ = self
+                    .sendrecv(Some(Rank::new(partner as u8)), &[], Some(Rank::new(partner as u8)))
+                    .await;
                 mask <<= 1;
             }
         }
         if r < 2 * rem {
             if r.is_multiple_of(2) {
-                let _ = self.recv(Rank::new((r + 1) as u8));
+                let _ = self.recv(Rank::new((r + 1) as u8)).await;
             } else {
-                self.send(Rank::new((r - 1) as u8), &[]);
+                self.send(Rank::new((r - 1) as u8), &[]).await;
             }
         }
     }
@@ -1211,7 +1193,7 @@ impl RxState {
 
     /// Integrate one data packet, granting a flow-control credit when the
     /// window schedule calls for one.
-    fn accept(&mut self, api: &PeApi, from: Rank, packet: &[u32]) {
+    async fn accept(&mut self, api: &PeApi, from: Rank, packet: &[u32]) {
         let (_, len, idx) = parse_header(packet[0]);
         if !self.started {
             self.started = true;
@@ -1234,7 +1216,7 @@ impl RxState {
             && self.count.is_multiple_of(EAGER_CHUNKS)
             && self.count < self.total_chunks
         {
-            api.send_to_rank(from, &[header(KIND_CREDIT, 0, 0)]);
+            api.send_to_rank(from, &[header(KIND_CREDIT, 0, 0)]).await;
         }
     }
 
@@ -1242,7 +1224,7 @@ impl RxState {
     /// (retransmissions racing a NACK, ACK-phase pokes) are benign and
     /// dropped; credits carry the message serial. Returns whether the
     /// chunk was new.
-    fn accept_r(&mut self, api: &PeApi, from: Rank, packet: &[u32], serial: u32) -> bool {
+    async fn accept_r(&mut self, api: &PeApi, from: Rank, packet: &[u32], serial: u32) -> bool {
         let (_, len, idx) = parse_header(packet[0]);
         if !self.started {
             self.started = true;
@@ -1267,7 +1249,7 @@ impl RxState {
             && self.count.is_multiple_of(EAGER_CHUNKS)
             && self.count < self.total_chunks
         {
-            api.send_to_rank(from, &[header_r(KIND_CREDIT, serial, 0, 0)]);
+            api.send_to_rank(from, &[header_r(KIND_CREDIT, serial, 0, 0)]).await;
         }
         true
     }

@@ -15,7 +15,7 @@
 
 use crate::api::PeApi;
 use crate::config::SystemConfig;
-use crate::system::{Kernel, RunError, RunResult, System};
+use crate::system::{kernel, Kernel, RunError, RunResult, System};
 use medea_cache::{Addr, CacheConfig, CachePolicy};
 use medea_noc::coord::Topology;
 use medea_sim::Cycle;
@@ -262,14 +262,14 @@ impl Workload for ComputeOnlyWorkload {
             .map(|rank| {
                 let cell = Arc::clone(&measured);
                 let cycles = self.cycles_per_rank;
-                Box::new(move |api: PeApi| {
-                    let t0 = api.now();
-                    api.compute(cycles);
-                    let t1 = api.now();
+                kernel(move |api: PeApi| async move {
+                    let t0 = api.now().await;
+                    api.compute(cycles).await;
+                    let t1 = api.now().await;
                     if rank == 0 {
                         cell.store(t1 - t0, Ordering::SeqCst);
                     }
-                }) as Kernel
+                })
             })
             .collect();
         PreparedWorkload::new(Vec::new(), kernels, measured)

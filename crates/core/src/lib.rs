@@ -11,7 +11,9 @@
 //!   beyond-the-paper `memory_banks` knob: N address-interleaved MPMMU
 //!   banks spread across the torus (default 1 at node 0 — the paper's
 //!   single-slave instance, reproduced bit-for-bit);
-//! * [`System`](system::System) — the cycle engine with idle fast-forward;
+//! * [`System`](system::System) — the cycle engine with idle fast-forward,
+//!   which polls each PE's kernel future (built with
+//!   [`kernel`](system::kernel)) once per architectural operation;
 //! * [`PeApi`](api::PeApi) — the architectural-operation interface kernels
 //!   program against (loads/stores through the cache, §II-E coherence
 //!   operations, lock/unlock, raw TIE messages);
@@ -30,7 +32,7 @@
 //!
 //! ```
 //! use medea_core::{SystemConfig, CachePolicy};
-//! use medea_core::system::System;
+//! use medea_core::system::{kernel, System};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = SystemConfig::builder()
@@ -39,16 +41,16 @@
 //!     .cache_policy(CachePolicy::WriteBack)
 //!     .build()?;
 //! // Two kernels exchanging one framed eMPI message through their
-//! // communicators.
+//! // communicators. Each kernel is an `async` body the PE polls.
 //! let result = System::run(&cfg, &[], vec![
-//!     Box::new(|api: medea_core::api::PeApi| {
-//!         let comm = medea_core::Empi::new(api);
-//!         let message = comm.recv(medea_sim::ids::Rank::new(1));
+//!     kernel(|api| async move {
+//!         let mut comm = medea_core::Empi::new(api);
+//!         let message = comm.recv(medea_sim::ids::Rank::new(1)).await;
 //!         assert_eq!(message, vec![42]);
 //!     }),
-//!     Box::new(|api: medea_core::api::PeApi| {
-//!         let comm = medea_core::Empi::new(api);
-//!         comm.send(medea_sim::ids::Rank::new(0), &[42]);
+//!     kernel(|api| async move {
+//!         let mut comm = medea_core::Empi::new(api);
+//!         comm.send(medea_sim::ids::Rank::new(0), &[42]).await;
 //!     }),
 //! ])?;
 //! assert!(result.cycles > 0);

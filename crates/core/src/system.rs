@@ -86,10 +86,36 @@ use medea_sim::Cycle;
 use medea_trace::{NullSink, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use std::fmt;
+use std::future::Future;
 use std::time::{Duration, Instant};
 
 /// A kernel to run on one PE.
+///
+/// The engine calls it once, on the engine thread, while it builds the
+/// PE. Build kernels with [`kernel`], which installs an `async` body as
+/// the future the PE polls. A plain closure that installs nothing (such
+/// as `|_api| {}`) is a kernel that has already finished.
 pub type Kernel = Box<dyn FnOnce(PeApi) + Send + 'static>;
+
+/// Make a [`Kernel`] of an `async` body over the PE's [`PeApi`]:
+///
+/// ```
+/// use medea_core::system::{kernel, Kernel};
+///
+/// let compute_ten: Kernel = kernel(|api| async move {
+///     api.compute(10).await;
+/// });
+/// ```
+///
+/// The PE polls the body once per architectural operation; it owns no
+/// thread (the polled-future stand-in for the paper's `SC_THREAD`).
+pub fn kernel<F, Fut>(body: F) -> Kernel
+where
+    F: FnOnce(PeApi) -> Fut + Send + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    Box::new(move |api: PeApi| api.installer().install(body(api)))
+}
 
 /// Why a run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1137,8 +1163,8 @@ mod tests {
         let result = System::run(
             &cfg(1),
             &[],
-            vec![Box::new(|api: PeApi| {
-                api.compute(1000);
+            vec![kernel(move |api: PeApi| async move {
+                api.compute(1000).await;
             })],
         )
         .unwrap();
@@ -1152,17 +1178,17 @@ mod tests {
         let result = System::run(
             &cfg(1),
             &[(0x1000, 0xABCD)],
-            vec![Box::new(|api: PeApi| {
+            vec![kernel(move |api: PeApi| async move {
                 // Preloaded data is visible through the cache hierarchy.
-                assert_eq!(api.load_u32(0x1000), 0xABCD);
+                assert_eq!(api.load_u32(0x1000).await, 0xABCD);
                 // Writes round-trip.
-                api.store_f64(0x2000, 2.75);
-                assert_eq!(api.load_f64(0x2000), 2.75);
+                api.store_f64(0x2000, 2.75).await;
+                assert_eq!(api.load_f64(0x2000).await, 2.75);
                 // Flush pushes them to the MPMMU; invalidate + reload
                 // still sees them.
-                api.flush_line(0x2000);
-                api.invalidate_line(0x2000);
-                assert_eq!(api.load_f64(0x2000), 2.75);
+                api.flush_line(0x2000).await;
+                api.invalidate_line(0x2000).await;
+                assert_eq!(api.load_f64(0x2000).await, 2.75);
             })],
         )
         .unwrap();
@@ -1176,14 +1202,14 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let words = api.recv_from_rank(Rank::new(1));
+                kernel(move |api: PeApi| async move {
+                    let words = api.recv_from_rank(Rank::new(1)).await;
                     assert_eq!(words[0], 7);
-                    api.send_to_rank(Rank::new(1), &[8]);
+                    api.send_to_rank(Rank::new(1), &[8]).await;
                 }),
-                Box::new(|api: PeApi| {
-                    api.send_to_rank(Rank::new(0), &[7]);
-                    let words = api.recv_from_rank(Rank::new(0));
+                kernel(move |api: PeApi| async move {
+                    api.send_to_rank(Rank::new(0), &[7]).await;
+                    let words = api.recv_from_rank(Rank::new(0)).await;
                     assert_eq!(words[0], 8);
                 }),
             ],
@@ -1202,27 +1228,27 @@ mod tests {
             &cfg(4),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.compute(slow);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
+                    comm.compute(slow).await;
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
                 }),
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
                 }),
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.compute(100);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
+                    comm.compute(100).await;
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
                 }),
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
                 }),
             ],
         )
@@ -1238,12 +1264,12 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let got = Empi::new(api).recv(Rank::new(1));
+                kernel(move |api: PeApi| async move {
+                    let got = Empi::new(api).recv(Rank::new(1)).await;
                     assert_eq!(got, expect);
                 }),
-                Box::new(move |api: PeApi| {
-                    Empi::new(api).send(Rank::new(0), &payload);
+                kernel(move |api: PeApi| async move {
+                    Empi::new(api).send(Rank::new(0), &payload).await;
                 }),
             ],
         )
@@ -1256,12 +1282,12 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let got = Empi::new(api).recv_f64(Rank::new(1));
+                kernel(move |api: PeApi| async move {
+                    let got = Empi::new(api).recv_f64(Rank::new(1)).await;
                     assert_eq!(got, vec![1.5, -2.25, 1e300]);
                 }),
-                Box::new(|api: PeApi| {
-                    Empi::new(api).send_f64(Rank::new(0), &[1.5, -2.25, 1e300]);
+                kernel(move |api: PeApi| async move {
+                    Empi::new(api).send_f64(Rank::new(0), &[1.5, -2.25, 1e300]).await;
                 }),
             ],
         )
@@ -1274,27 +1300,28 @@ mod tests {
         // increments a shared counter 10 times through uncached accesses.
         const COUNTER: u32 = 0x100;
         const LOCK: u32 = 0x200;
-        let kernel = || {
-            Box::new(move |api: PeApi| {
+        let incrementer = || {
+            kernel(move |api: PeApi| async move {
                 for _ in 0..10 {
-                    api.lock(LOCK);
-                    let v = api.uncached_load_u32(COUNTER);
-                    api.uncached_store_u32(COUNTER, v + 1);
-                    api.unlock(LOCK);
+                    api.lock(LOCK).await;
+                    let v = api.uncached_load_u32(COUNTER).await;
+                    api.uncached_store_u32(COUNTER, v + 1).await;
+                    api.unlock(LOCK).await;
                 }
-            }) as Kernel
+            })
         };
-        let result = System::run(&cfg(3), &[], vec![kernel(), kernel(), kernel()]).unwrap();
+        let result =
+            System::run(&cfg(3), &[], vec![incrementer(), incrementer(), incrementer()]).unwrap();
         assert_eq!(result.mpmmu.locks_granted.get(), 30);
         assert_eq!(result.mpmmu.unlocks.get(), 30);
         // Verify the final count via a fourth run-phase: read it back.
         let verify = System::run(
             &cfg(1),
             &[],
-            vec![Box::new(move |api: PeApi| {
+            vec![kernel(move |api: PeApi| async move {
                 // Fresh system: counter starts at 0 again — so instead
                 // assert on the previous run's lock stats only.
-                let _ = api.now();
+                let _ = api.now().await;
             })],
         );
         assert!(verify.is_ok());
@@ -1309,15 +1336,15 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(1)); // ready token
-                    api.invalidate_line(DATA);
-                    assert_eq!(api.load_f64(DATA), 9.5);
+                kernel(move |api: PeApi| async move {
+                    let _ = api.recv_from_rank(Rank::new(1)).await; // ready token
+                    api.invalidate_line(DATA).await;
+                    assert_eq!(api.load_f64(DATA).await, 9.5);
                 }),
-                Box::new(|api: PeApi| {
-                    api.store_f64(DATA, 9.5);
-                    api.flush_line(DATA);
-                    api.send_to_rank(Rank::new(0), &[1]);
+                kernel(move |api: PeApi| async move {
+                    api.store_f64(DATA, 9.5).await;
+                    api.flush_line(DATA).await;
+                    api.send_to_rank(Rank::new(0), &[1]).await;
                 }),
             ],
         )
@@ -1333,19 +1360,19 @@ mod tests {
             &cfg(2),
             &[(DATA, 111)],
             vec![
-                Box::new(|api: PeApi| {
-                    assert_eq!(api.load_u32(DATA), 111); // cache the line
-                    api.send_to_rank(Rank::new(1), &[1]); // let producer go
-                    let _ = api.recv_from_rank(Rank::new(1)); // updated token
-                                                              // No invalidate: stale.
-                    assert_eq!(api.load_u32(DATA), 111, "must read the stale cached copy");
-                    api.invalidate_line(DATA);
-                    assert_eq!(api.load_u32(DATA), 222, "fresh after DII");
+                kernel(move |api: PeApi| async move {
+                    assert_eq!(api.load_u32(DATA).await, 111); // cache the line
+                    api.send_to_rank(Rank::new(1), &[1]).await; // let producer go
+                    let _ = api.recv_from_rank(Rank::new(1)).await; // updated token
+                                                                    // No invalidate: stale.
+                    assert_eq!(api.load_u32(DATA).await, 111, "must read the stale cached copy");
+                    api.invalidate_line(DATA).await;
+                    assert_eq!(api.load_u32(DATA).await, 222, "fresh after DII");
                 }),
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(0));
-                    api.uncached_store_u32(DATA, 222);
-                    api.send_to_rank(Rank::new(0), &[1]);
+                kernel(move |api: PeApi| async move {
+                    let _ = api.recv_from_rank(Rank::new(0)).await;
+                    api.uncached_store_u32(DATA, 222).await;
+                    api.send_to_rank(Rank::new(0), &[1]).await;
                 }),
             ],
         )
@@ -1358,11 +1385,11 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(1)); // never sent
+                kernel(move |api: PeApi| async move {
+                    let _ = api.recv_from_rank(Rank::new(1)).await; // never sent
                 }),
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(0)); // never sent
+                kernel(move |api: PeApi| async move {
+                    let _ = api.recv_from_rank(Rank::new(0)).await; // never sent
                 }),
             ],
         )
@@ -1376,8 +1403,8 @@ mod tests {
         let err = System::run(
             &tight,
             &[],
-            vec![Box::new(|api: PeApi| {
-                api.compute(1_000_000);
+            vec![kernel(move |api: PeApi| async move {
+                api.compute(1_000_000).await;
             })],
         )
         .unwrap_err();
@@ -1391,22 +1418,22 @@ mod tests {
                 &cfg(3),
                 &[],
                 vec![
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
+                    kernel(move |api: PeApi| async move {
+                        let mut comm = Empi::new(api);
                         for i in 0..20u32 {
-                            comm.store_u32(comm.private_base() + i * 4, i);
+                            comm.store_u32(comm.private_base() + i * 4, i).await;
                         }
-                        comm.barrier();
+                        comm.barrier().await;
                     }),
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.compute(500);
-                        comm.barrier();
+                    kernel(move |api: PeApi| async move {
+                        let mut comm = Empi::new(api);
+                        comm.compute(500).await;
+                        comm.barrier().await;
                     }),
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.store_f64(comm.private_base(), 3.25);
-                        comm.barrier();
+                    kernel(move |api: PeApi| async move {
+                        let mut comm = Empi::new(api);
+                        comm.store_f64(comm.private_base(), 3.25).await;
+                        comm.barrier().await;
                     }),
                 ],
             )
@@ -1423,26 +1450,26 @@ mod tests {
     /// exercises every engine subsystem, for the equivalence test.
     fn mixed_kernels() -> Vec<Kernel> {
         vec![
-            Box::new(|api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(700);
-                comm.store_f64(comm.private_base(), 1.25);
-                comm.flush_line(comm.private_base());
-                comm.barrier();
-                let v = comm.recv_f64(Rank::new(1));
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
+                comm.compute(700).await;
+                comm.store_f64(comm.private_base(), 1.25).await;
+                comm.flush_line(comm.private_base()).await;
+                comm.barrier().await;
+                let v = comm.recv_f64(Rank::new(1)).await;
                 assert_eq!(v[0], 2.5);
             }),
-            Box::new(|api: PeApi| {
-                let comm = Empi::new(api);
-                comm.barrier();
-                comm.send_f64(Rank::new(0), &[2.5]);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
+                comm.barrier().await;
+                comm.send_f64(Rank::new(0), &[2.5]).await;
             }),
-            Box::new(|api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 for i in 0..8u32 {
-                    comm.uncached_store_u32(0x400 + i * 4, i);
+                    comm.uncached_store_u32(0x400 + i * 4, i).await;
                 }
-                comm.barrier();
+                comm.barrier().await;
             }),
         ]
     }
@@ -1483,12 +1510,12 @@ mod tests {
     fn engine_equivalence_on_deadlock() {
         let kernels = || -> Vec<Kernel> {
             vec![
-                Box::new(|api: PeApi| {
-                    api.compute(300);
-                    let _ = api.recv_from_rank(Rank::new(1));
+                kernel(move |api: PeApi| async move {
+                    api.compute(300).await;
+                    let _ = api.recv_from_rank(Rank::new(1)).await;
                 }),
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(0));
+                kernel(move |api: PeApi| async move {
+                    let _ = api.recv_from_rank(Rank::new(0)).await;
                 }),
             ]
         };
@@ -1510,18 +1537,18 @@ mod tests {
             .unwrap();
         let kernels: Vec<Kernel> = (0..20)
             .map(|r| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.store_u32(comm.private_base(), r as u32);
-                    comm.flush_line(comm.private_base());
-                    comm.barrier();
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
+                    comm.store_u32(comm.private_base(), r as u32).await;
+                    comm.flush_line(comm.private_base()).await;
+                    comm.barrier().await;
                     if r == 19 {
-                        comm.send(Rank::new(0), &[4242]);
+                        comm.send(Rank::new(0), &[4242]).await;
                     } else if r == 0 {
-                        let got = comm.recv(Rank::new(19));
+                        let got = comm.recv(Rank::new(19)).await;
                         assert_eq!(got, vec![4242]);
                     }
-                }) as Kernel
+                })
             })
             .collect();
         let result = System::run(&cfg8, &[], kernels).unwrap();
@@ -1535,8 +1562,9 @@ mod tests {
             .cycle_limit(5_000_000)
             .build()
             .unwrap();
-        let kernels: Vec<Kernel> =
-            (0..10).map(|_| Box::new(|api: PeApi| Empi::new(api).barrier()) as Kernel).collect();
+        let kernels: Vec<Kernel> = (0..10)
+            .map(|_| kernel(|api: PeApi| async move { Empi::new(api).barrier().await }))
+            .collect();
         System::run(&cfg_rect, &[], kernels).unwrap();
     }
 
@@ -1554,19 +1582,19 @@ mod tests {
         let kernels = || -> Vec<Kernel> {
             (0..17)
                 .map(|r| {
-                    Box::new(move |api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.compute(40 + 11 * r as u64);
-                        comm.barrier();
+                    kernel(move |api: PeApi| async move {
+                        let mut comm = Empi::new(api);
+                        comm.compute(40 + 11 * r as u64).await;
+                        comm.barrier().await;
                         if r > 0 {
-                            comm.send_f64(Rank::new(0), &[r as f64]);
+                            comm.send_f64(Rank::new(0), &[r as f64]).await;
                         } else {
                             for src in 1..comm.ranks() {
-                                let v = comm.recv_f64(Rank::new(src as u8));
+                                let v = comm.recv_f64(Rank::new(src as u8)).await;
                                 assert_eq!(v[0], src as f64);
                             }
                         }
-                    }) as Kernel
+                    })
                 })
                 .collect()
         };
@@ -1593,32 +1621,32 @@ mod tests {
             &cfg,
             &[(0x10, 71)],
             vec![
-                Box::new(|api: PeApi| {
+                kernel(move |api: PeApi| async move {
                     // Preload on an odd line (bank 1) is visible.
-                    assert_eq!(api.uncached_load_u32(0x10), 71);
+                    assert_eq!(api.uncached_load_u32(0x10).await, 71);
                     for line in 0..8u32 {
                         let addr = line * 16;
-                        api.uncached_store_u32(addr, 1000 + line);
+                        api.uncached_store_u32(addr, 1000 + line).await;
                     }
                     for line in 0..8u32 {
                         let addr = line * 16;
-                        assert_eq!(api.uncached_load_u32(addr), 1000 + line);
+                        assert_eq!(api.uncached_load_u32(addr).await, 1000 + line);
                     }
                 }),
-                Box::new(|api: PeApi| {
+                kernel(move |api: PeApi| async move {
                     // Cached traffic crosses banks too: f64 spanning one
                     // line each on both parities, flushed and reloaded.
-                    api.store_f64(0x40, 2.5); // even line → bank 0
-                    api.store_f64(0x50, 3.5); // odd line → bank 1
-                    api.flush_line(0x40);
-                    api.flush_line(0x50);
-                    api.invalidate_line(0x40);
-                    api.invalidate_line(0x50);
-                    assert_eq!(api.load_f64(0x40), 2.5);
-                    assert_eq!(api.load_f64(0x50), 3.5);
+                    api.store_f64(0x40, 2.5).await; // even line → bank 0
+                    api.store_f64(0x50, 3.5).await; // odd line → bank 1
+                    api.flush_line(0x40).await;
+                    api.flush_line(0x50).await;
+                    api.invalidate_line(0x40).await;
+                    api.invalidate_line(0x50).await;
+                    assert_eq!(api.load_f64(0x40).await, 2.5);
+                    assert_eq!(api.load_f64(0x50).await, 3.5);
                 }),
-                Box::new(|api: PeApi| {
-                    api.compute(100);
+                kernel(move |api: PeApi| async move {
+                    api.compute(100).await;
                 }),
             ],
         )
@@ -1652,18 +1680,18 @@ mod tests {
             .build()
             .unwrap();
         let kernel = || {
-            Box::new(move |api: PeApi| {
+            kernel(move |api: PeApi| async move {
                 for _ in 0..5 {
-                    api.lock(LOCK_A);
-                    let v = api.uncached_load_u32(COUNTER_A);
-                    api.uncached_store_u32(COUNTER_A, v + 1);
-                    api.unlock(LOCK_A);
-                    api.lock(LOCK_B);
-                    let v = api.uncached_load_u32(COUNTER_B);
-                    api.uncached_store_u32(COUNTER_B, v + 1);
-                    api.unlock(LOCK_B);
+                    api.lock(LOCK_A).await;
+                    let v = api.uncached_load_u32(COUNTER_A).await;
+                    api.uncached_store_u32(COUNTER_A, v + 1).await;
+                    api.unlock(LOCK_A).await;
+                    api.lock(LOCK_B).await;
+                    let v = api.uncached_load_u32(COUNTER_B).await;
+                    api.uncached_store_u32(COUNTER_B, v + 1).await;
+                    api.unlock(LOCK_B).await;
                 }
-            }) as Kernel
+            })
         };
         let result = System::run(&cfg, &[], vec![kernel(), kernel(), kernel(), kernel()]).unwrap();
         assert_eq!(result.mpmmu.locks_granted.get(), 40);
@@ -1688,18 +1716,18 @@ mod tests {
         let kernels = || -> Vec<Kernel> {
             (0..5)
                 .map(|r| {
-                    Box::new(move |api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.compute(30 + 17 * r as u64);
+                    kernel(move |api: PeApi| async move {
+                        let mut comm = Empi::new(api);
+                        comm.compute(30 + 17 * r as u64).await;
                         for i in 0..6u32 {
                             let addr = (r as u32 * 6 + i) * 16;
-                            comm.uncached_store_u32(addr, r as u32 * 100 + i);
+                            comm.uncached_store_u32(addr, r as u32 * 100 + i).await;
                         }
-                        comm.barrier();
+                        comm.barrier().await;
                         let peer = (r + 1) % 5;
                         let addr = (peer as u32 * 6) * 16;
-                        assert_eq!(comm.uncached_load_u32(addr), peer as u32 * 100);
-                    }) as Kernel
+                        assert_eq!(comm.uncached_load_u32(addr).await, peer as u32 * 100);
+                    })
                 })
                 .collect()
         };
@@ -1722,8 +1750,8 @@ mod tests {
         let result = System::run(
             &cfg(1),
             &[],
-            vec![Box::new(|api: PeApi| {
-                api.uncached_store_u32(0x40, 9);
+            vec![kernel(move |api: PeApi| async move {
+                api.uncached_store_u32(0x40, 9).await;
             })],
         )
         .unwrap();
@@ -1745,14 +1773,14 @@ mod tests {
         let kernels = || -> Vec<Kernel> {
             (0..4)
                 .map(|_| {
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
+                    kernel(move |api: PeApi| async move {
+                        let mut comm = Empi::new(api);
                         for i in 0..64u32 {
-                            comm.store_u32(comm.private_base() + i * 4, i);
-                            comm.flush_line(comm.private_base() + i * 4);
+                            comm.store_u32(comm.private_base() + i * 4, i).await;
+                            comm.flush_line(comm.private_base() + i * 4).await;
                         }
-                        comm.barrier();
-                    }) as Kernel
+                        comm.barrier().await;
+                    })
                 })
                 .collect()
         };

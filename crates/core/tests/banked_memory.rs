@@ -4,7 +4,7 @@
 //! bit-for-bit (cycles, traffic, per-bank counters).
 
 use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunResult, System};
+use medea_core::system::{kernel, Kernel, RunResult, System};
 use medea_core::SystemConfig;
 use proptest::prelude::*;
 
@@ -21,24 +21,24 @@ fn kernels(writes: Vec<(u32, u32)>) -> Vec<Kernel> {
     let w1 = writes.clone();
     let w2 = writes;
     vec![
-        Box::new(move |api: PeApi| {
+        kernel(move |api: PeApi| async move {
             for (addr, value) in &w0 {
-                api.uncached_store_u32(*addr, *value);
+                api.uncached_store_u32(*addr, *value).await;
             }
-            api.send_to_rank(Rank::new(1), &[1]);
-            api.send_to_rank(Rank::new(2), &[1]);
+            api.send_to_rank(Rank::new(1), &[1]).await;
+            api.send_to_rank(Rank::new(2), &[1]).await;
         }),
-        Box::new(move |api: PeApi| {
-            let _ = api.recv_from_rank(Rank::new(0));
+        kernel(move |api: PeApi| async move {
+            let _ = api.recv_from_rank(Rank::new(0)).await;
             for (addr, value) in &w1 {
-                assert_eq!(api.uncached_load_u32(*addr), *value, "read-back at {addr:#x}");
+                assert_eq!(api.uncached_load_u32(*addr).await, *value, "read-back at {addr:#x}");
             }
         }),
-        Box::new(move |api: PeApi| {
-            let _ = api.recv_from_rank(Rank::new(0));
+        kernel(move |api: PeApi| async move {
+            let _ = api.recv_from_rank(Rank::new(0)).await;
             for (addr, value) in &w2 {
-                api.invalidate_line(*addr);
-                assert_eq!(api.load_u32(*addr), *value, "cached read-back at {addr:#x}");
+                api.invalidate_line(*addr).await;
+                assert_eq!(api.load_u32(*addr).await, *value, "cached read-back at {addr:#x}");
             }
         }),
     ]

@@ -5,7 +5,7 @@
 //! their host-side references under every algorithm.
 
 use medea_core::api::PeApi;
-use medea_core::system::{Kernel, System};
+use medea_core::system::{kernel, Kernel, System};
 use medea_core::{empi, CollectiveAlgo, Empi, SystemConfig, Topology};
 use medea_sim::ids::Rank;
 use medea_sim::rng::SplitMix64;
@@ -39,13 +39,13 @@ proptest! {
             &sys(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let got = Empi::new(api).recv(Rank::new(1));
+                kernel(move |api: PeApi| async move {
+                    let got = Empi::new(api).recv(Rank::new(1)).await;
                     assert_eq!(got, expect);
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    Empi::new(api).send(Rank::new(0), &payload);
-                }) as Kernel,
+                }),
+                kernel(move |api: PeApi| async move {
+                    Empi::new(api).send(Rank::new(0), &payload).await;
+                }),
             ],
         )
         .expect("run");
@@ -67,19 +67,19 @@ proptest! {
             &sys(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
                     for want in &expect {
-                        let got = comm.recv(Rank::new(1));
+                        let got = comm.recv(Rank::new(1)).await;
                         assert_eq!(&got, want);
                     }
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                }),
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
                     for m in &messages {
-                        comm.send(Rank::new(0), m);
+                        comm.send(Rank::new(0), m).await;
                     }
-                }) as Kernel,
+                }),
             ],
         )
         .expect("run");
@@ -112,18 +112,18 @@ proptest! {
             .map(|r| {
                 let msg_ab = msg_ab.clone();
                 let msg_ba = msg_ba.clone();
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
                     if r == a {
                         let peer = Some(Rank::new(b as u8));
-                        let got = comm.sendrecv(peer, &msg_ab, peer).expect("duplex");
+                        let got = comm.sendrecv(peer, &msg_ab, peer).await.expect("duplex");
                         assert_eq!(got, msg_ba, "a<-b payload");
                     } else if r == b {
                         let peer = Some(Rank::new(a as u8));
-                        let got = comm.sendrecv(peer, &msg_ba, peer).expect("duplex");
+                        let got = comm.sendrecv(peer, &msg_ba, peer).await.expect("duplex");
                         assert_eq!(got, msg_ab, "b<-a payload");
                     }
-                }) as Kernel
+                })
             })
             .collect();
         System::run(&sys_on(Topology::new(8, 2).unwrap(), pes), &[], kernels)
@@ -154,19 +154,19 @@ proptest! {
             .map(|r| {
                 let bcast_msg = bcast_msg.clone();
                 let values = values.clone();
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    let got = comm.bcast(root, if comm.rank() == root { &bcast_msg } else { &[] });
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
+                    let got = comm.bcast(root, if comm.rank() == root { &bcast_msg } else { &[] }).await;
                     assert_eq!(got, bcast_msg, "bcast at rank {r}");
-                    let sum = comm.reduce(root, values[r]);
+                    let sum = comm.reduce(root, values[r]).await;
                     if comm.rank() == root {
                         assert_eq!(sum.expect("root").to_bits(), expect_sum.to_bits(), "reduce");
                     }
-                    let all = comm.allreduce(values[r]);
+                    let all = comm.allreduce(values[r]).await;
                     assert_eq!(all.to_bits(), expect_sum.to_bits(), "allreduce at rank {r}");
-                    comm.barrier();
+                    comm.barrier().await;
                     let mine = vec![r as u32; r + 1];
-                    if let Some(rows) = comm.gather(root, &mine) {
+                    if let Some(rows) = comm.gather(root, &mine).await {
                         for (src, row) in rows.iter().enumerate() {
                             assert_eq!(row, &vec![src as u32; src + 1], "gather from {src}");
                         }
@@ -176,9 +176,9 @@ proptest! {
                     let chunk = comm.scatter(
                         root,
                         if comm.rank() == root { &chunks } else { &[] },
-                    );
+                    ).await;
                     assert_eq!(chunk, vec![(r * 3) as u32; r + 2], "scatter to {r}");
-                }) as Kernel
+                })
             })
             .collect();
         System::run(&cfg, &[], kernels).expect("collective run");
@@ -196,12 +196,12 @@ fn chunk_boundary_lengths_exact() {
             &sys(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    assert_eq!(Empi::new(api).recv(Rank::new(1)), expect, "len {len}");
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    Empi::new(api).send(Rank::new(0), &payload);
-                }) as Kernel,
+                kernel(move |api: PeApi| async move {
+                    assert_eq!(Empi::new(api).recv(Rank::new(1)).await, expect, "len {len}");
+                }),
+                kernel(move |api: PeApi| async move {
+                    Empi::new(api).send(Rank::new(0), &payload).await;
+                }),
             ],
         )
         .unwrap_or_else(|e| panic!("len {len}: {e}"));
@@ -220,12 +220,12 @@ fn maximum_length_message_roundtrips() {
         &sys(2),
         &[],
         vec![
-            Box::new(move |api: PeApi| {
-                assert_eq!(Empi::new(api).recv(Rank::new(1)), expect);
-            }) as Kernel,
-            Box::new(move |api: PeApi| {
-                Empi::new(api).send(Rank::new(0), &payload);
-            }) as Kernel,
+            kernel(move |api: PeApi| async move {
+                assert_eq!(Empi::new(api).recv(Rank::new(1)).await, expect);
+            }),
+            kernel(move |api: PeApi| async move {
+                Empi::new(api).send(Rank::new(0), &payload).await;
+            }),
         ],
     )
     .expect("max-length run");
@@ -234,7 +234,7 @@ fn maximum_length_message_roundtrips() {
 #[test]
 #[should_panic(expected = "kernel on n2 panicked")]
 fn oversized_message_panics() {
-    // The sender's kernel thread panics with the "exceeds the ... limit"
+    // The sender's kernel panics with the "exceeds the ... limit"
     // diagnostic; the engine surfaces it as a kernel-panic abort instead
     // of limping into a deadlock.
     let payload = vec![0u32; empi::MAX_MESSAGE_WORDS + 1];
@@ -242,14 +242,41 @@ fn oversized_message_panics() {
         &sys(2),
         &[],
         vec![
-            Box::new(move |api: PeApi| {
-                let _ = Empi::new(api).recv(Rank::new(1));
-            }) as Kernel,
-            Box::new(move |api: PeApi| {
-                Empi::new(api).send(Rank::new(0), &payload);
-            }) as Kernel,
+            kernel(move |api: PeApi| async move {
+                let _ = Empi::new(api).recv(Rank::new(1)).await;
+            }),
+            kernel(move |api: PeApi| async move {
+                Empi::new(api).send(Rank::new(0), &payload).await;
+            }),
         ],
     );
+}
+
+#[test]
+fn oversized_message_panic_keeps_its_message() {
+    // The engine re-raises a kernel panic with the kernel's own message,
+    // on the sequential and the tiled engine alike.
+    let kernels = || -> Vec<Kernel> {
+        let payload = vec![0u32; empi::MAX_MESSAGE_WORDS + 1];
+        vec![
+            kernel(move |api: PeApi| async move {
+                let _ = Empi::new(api).recv(Rank::new(1)).await;
+            }),
+            kernel(move |api: PeApi| async move {
+                Empi::new(api).send(Rank::new(0), &payload).await;
+            }),
+        ]
+    };
+    let tiled = SystemConfig::builder().compute_pes(2).host_threads(2).build().unwrap();
+    for cfg in [sys(2), tiled] {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            System::run(&cfg, &[], kernels())
+        }))
+        .expect_err("the oversized send must panic");
+        let text = payload.downcast_ref::<String>().expect("formatted panic message");
+        assert!(text.starts_with("kernel on n2 panicked: "), "{text}");
+        assert!(text.contains("exceeds"), "the kernel's own message is kept: {text}");
+    }
 }
 
 #[test]
@@ -259,19 +286,19 @@ fn all_to_one_gather_under_contention() {
     let pes = 6;
     let kernels: Vec<Kernel> = (0..pes)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 if r == 0 {
                     for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
+                        let got = comm.recv(Rank::new(src as u8)).await;
                         let want: Vec<u32> = (0..50).map(|i| (src * 1000 + i) as u32).collect();
                         assert_eq!(got, want, "message from rank {src}");
                     }
                 } else {
                     let payload: Vec<u32> = (0..50).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
+                    comm.send(Rank::new(0), &payload).await;
                 }
-            }) as Kernel
+            })
         })
         .collect();
     System::run(&sys(pes), &[], kernels).expect("gather");
@@ -288,17 +315,17 @@ fn chain_of_duplex_exchanges_pipelines() {
     let kernels: Vec<Kernel> = (0..pes)
         .map(|r| {
             let row = row.clone();
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 let next = (r + 1 < pes).then(|| Rank::new((r + 1) as u8));
                 let prev = (r > 0).then(|| Rank::new((r - 1) as u8));
-                let got = comm.sendrecv(next, if next.is_some() { &row } else { &[] }, prev);
+                let got = comm.sendrecv(next, if next.is_some() { &row } else { &[] }, prev).await;
                 match (prev, got) {
                     (Some(_), Some(got)) => assert_eq!(got, row, "rank {r}"),
                     (None, None) => {}
                     (p, g) => panic!("rank {r}: prev {p:?} but got {}", g.is_some()),
                 }
-            }) as Kernel
+            })
         })
         .collect();
     System::run(&sys(pes), &[], kernels).expect("chain exchange");
@@ -319,12 +346,12 @@ fn tree_barrier_beats_linear_at_63_ranks() {
             .unwrap();
         let kernels: Vec<Kernel> = (0..63)
             .map(|_| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
                     for _ in 0..4 {
-                        comm.barrier();
+                        comm.barrier().await;
                     }
-                }) as Kernel
+                })
             })
             .collect();
         System::run(&cfg, &[], kernels).expect("barrier run").cycles

@@ -22,10 +22,12 @@
 //!   serves the application kernel's architectural operations
 //!   ([`kernel_if::PeRequest`]) cycle by cycle.
 //!
-//! The instruction stream itself is not simulated; kernels are Rust code
-//! whose architectural actions (memory, FP, messaging) rendezvous with the
-//! engine — see `medea-sim::coroutine` and DESIGN.md §2 for why this
-//! preserves the paper's measured quantities.
+//! The instruction stream itself is not simulated; kernels are Rust
+//! `async` code whose architectural actions (memory, FP, messaging) are
+//! requests the PE serves cycle by cycle. The PE polls its kernel future
+//! once per request — the stand-in for the paper's `SC_THREAD`, without a
+//! thread (see [`kernel_if`] and DESIGN.md §2 for why this preserves the
+//! paper's measured quantities).
 
 pub mod arbiter;
 pub mod bridge;

@@ -21,7 +21,7 @@ use crate::arbiter::{ArbiterConfig, NocArbiter};
 use crate::bridge::{BridgeConfig, BridgeOp, BridgeResult, Pif2NocBridge};
 use crate::coherence::ProbeResponder;
 use crate::fpu::FpModel;
-use crate::kernel_if::{f64_to_words, words_to_f64, PeRequest, PeResponse};
+use crate::kernel_if::{f64_to_words, words_to_f64, KernelRunner, PePort, PeRequest, PeResponse};
 use crate::tie::{packetize, TieReceiver};
 use medea_cache::{
     line_of, Addr, CacheConfig, CoherenceMode, CoherenceStats, MesiState, SetAssocCache,
@@ -31,16 +31,11 @@ use medea_mem::BankMap;
 use medea_metrics::PeActivity;
 use medea_noc::coord::Topology;
 use medea_noc::flit::{CohOp, Flit, PacketKind, SubKind};
-use medea_sim::coroutine::{Fetched, KernelHost, KernelPort};
 use medea_sim::ids::NodeId;
 use medea_sim::stats::Counter;
 use medea_sim::Cycle;
 use medea_trace::{CacheEventKind, KernelOp, NullSink, TraceEvent, TraceSink};
 use std::collections::{HashMap, VecDeque};
-
-/// The port type kernels receive: issue [`PeRequest`]s, get
-/// [`PeResponse`]s.
-pub type PePort = KernelPort<PeRequest, PeResponse>;
 
 /// Processing-element configuration.
 #[derive(Debug, Clone, Copy)]
@@ -160,7 +155,7 @@ enum Exec {
     Done,
 }
 
-/// One processing element with its kernel thread.
+/// One processing element with the kernel future it polls.
 #[derive(Debug)]
 pub struct ProcessingElement {
     cfg: PeConfig,
@@ -168,7 +163,7 @@ pub struct ProcessingElement {
     /// Checked-at-construction application-level source id (the node
     /// index; shared by the bridge and the TIE send path).
     src_id: u8,
-    host: KernelHost<PeRequest, PeResponse>,
+    kernel: KernelRunner,
     cache: SetAssocCache,
     bridge: Pif2NocBridge,
     rx: TieReceiver,
@@ -189,20 +184,23 @@ pub struct ProcessingElement {
 }
 
 impl ProcessingElement {
-    /// Build the PE and spawn its kernel thread. Shared-memory
+    /// Build the PE. `install` receives the PE's [`PePort`] and installs
+    /// the kernel future that drives it (see [`crate::kernel_if`]); a PE
+    /// whose `install` installs nothing runs no kernel. Shared-memory
     /// transactions are routed to their owning MPMMU bank via `banks`.
-    pub fn new<F>(cfg: PeConfig, topo: Topology, banks: BankMap, kernel: F) -> Self
-    where
-        F: FnOnce(PePort) + Send + 'static,
-    {
+    pub fn new(
+        cfg: PeConfig,
+        topo: Topology,
+        banks: BankMap,
+        install: impl FnOnce(PePort),
+    ) -> Self {
         let src_id = u8::try_from(cfg.node.index())
             .expect("node index exceeds the 8-bit src-id budget (at most 256 nodes)");
-        let host = KernelHost::spawn(&format!("pe{}", cfg.node.index()), kernel);
         ProcessingElement {
             cfg,
             topo,
             src_id,
-            host,
+            kernel: KernelRunner::new(cfg.node, install),
             cache: SetAssocCache::new(cfg.cache),
             bridge: Pif2NocBridge::new(banks, src_id, cfg.bridge),
             rx: TieReceiver::new(),
@@ -458,20 +456,15 @@ impl ProcessingElement {
                     self.exec = Exec::Done;
                     false
                 }
-                Exec::Fetch => match self.host.fetch() {
-                    Fetched::Finished => {
-                        // Surface kernel panics on the engine thread:
-                        // swallowing one here would turn an eMPI protocol
-                        // diagnostic into a baffling downstream deadlock.
-                        assert!(
-                            !self.host.join(),
-                            "kernel on {} panicked; see the kernel thread's message above",
-                            self.cfg.node
-                        );
+                // `resume` re-raises a kernel panic with its message:
+                // swallowing one here would turn an eMPI protocol
+                // diagnostic into a baffling downstream deadlock.
+                Exec::Fetch => match self.kernel.resume() {
+                    None => {
                         self.exec = Exec::Done;
                         false
                     }
-                    Fetched::Request(PeRequest::TraceSpan { op, begin }) => {
+                    Some(PeRequest::TraceSpan { op, begin }) => {
                         // Markers consume zero simulated cycles and update
                         // no statistic (not even `requests`): the run must
                         // be bit-identical whether they flow or not. The
@@ -495,19 +488,19 @@ impl ProcessingElement {
                                 },
                             );
                         }
-                        self.host.reply(PeResponse::Unit);
+                        self.kernel.reply(PeResponse::Unit);
                         true
                     }
-                    Fetched::Request(PeRequest::FaultNote { retransmits, nacks }) => {
+                    Some(PeRequest::FaultNote { retransmits, nacks }) => {
                         // Resilience notes follow the TraceSpan contract:
                         // zero simulated cycles, dedicated counters only,
                         // so fault-free runs stay bit-identical.
                         self.stats.retransmits.add(retransmits as u64);
                         self.stats.nacks_sent.add(nacks as u64);
-                        self.host.reply(PeResponse::Unit);
+                        self.kernel.reply(PeResponse::Unit);
                         true
                     }
-                    Fetched::Request(req) => {
+                    Some(req) => {
                         self.stats.requests.inc();
                         self.begin(req, now, sink);
                         false
@@ -515,7 +508,7 @@ impl ProcessingElement {
                 },
                 Exec::Stall { until, resp, act } => {
                     if now >= until {
-                        self.host.reply(resp);
+                        self.kernel.reply(resp);
                         self.exec = Exec::Fetch;
                         true
                     } else {
@@ -532,7 +525,7 @@ impl ProcessingElement {
                     match self.bridge.take_result() {
                         Some(result) => {
                             let resp = Self::map_direct(shape, result);
-                            self.host.reply(resp);
+                            self.kernel.reply(resp);
                             self.exec = Exec::Fetch;
                             true
                         }
@@ -555,7 +548,7 @@ impl ProcessingElement {
                             let node = self.src_id as u16;
                             sink.record(now, TraceEvent::SpanEnd { node, op: KernelOp::Send });
                         }
-                        self.host.reply(PeResponse::Unit);
+                        self.kernel.reply(PeResponse::Unit);
                         self.exec = Exec::Fetch;
                         true
                     } else {
@@ -926,7 +919,7 @@ impl ProcessingElement {
             MemShape::LoadF64 => PeResponse::F64(words_to_f64(m.acc[0], m.acc[1])),
             MemShape::Store => PeResponse::Unit,
         };
-        self.host.reply(resp);
+        self.kernel.reply(resp);
         self.exec = Exec::Fetch;
         true
     }
@@ -953,6 +946,15 @@ mod tests {
 
     fn topo() -> Topology {
         Topology::paper_4x4()
+    }
+
+    /// A PE on the paper's torus running the kernel `body` builds.
+    fn pe_with<F, Fut>(c: PeConfig, body: F) -> ProcessingElement
+    where
+        F: FnOnce(PePort) -> Fut,
+        Fut: std::future::Future<Output = ()> + Send + 'static,
+    {
+        ProcessingElement::new(c, topo(), bank0(), |port| port.installer().install(body(port)))
     }
 
     /// The paper's single-bank map: everything at node 0.
@@ -1050,8 +1052,8 @@ mod tests {
 
     #[test]
     fn compute_costs_its_cycles() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            port.call(PeRequest::Compute { cycles: 50 }).unwrap();
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Compute { cycles: 50 }).await;
         });
         let t = run_with_magic_memory(&mut pe, 200);
         assert!((50..=55).contains(&t), "compute(50) took {t}");
@@ -1060,12 +1062,12 @@ mod tests {
 
     #[test]
     fn fp_costs_match_model() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            match port.call(PeRequest::FpAdd { a: 1.5, b: 2.25 }).unwrap() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            match port.call(PeRequest::FpAdd { a: 1.5, b: 2.25 }).await {
                 PeResponse::F64(v) => assert_eq!(v, 3.75),
                 other => panic!("{other:?}"),
             }
-            match port.call(PeRequest::FpMul { a: 3.0, b: 4.0 }).unwrap() {
+            match port.call(PeRequest::FpMul { a: 3.0, b: 4.0 }).await {
                 PeResponse::F64(v) => assert_eq!(v, 12.0),
                 other => panic!("{other:?}"),
             }
@@ -1077,9 +1079,9 @@ mod tests {
 
     #[test]
     fn store_then_load_roundtrips_through_cache() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            port.call(PeRequest::StoreF64 { addr: 0x100, value: 6.5 }).unwrap();
-            match port.call(PeRequest::LoadF64 { addr: 0x100 }).unwrap() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::StoreF64 { addr: 0x100, value: 6.5 }).await;
+            match port.call(PeRequest::LoadF64 { addr: 0x100 }).await {
                 PeResponse::F64(v) => assert_eq!(v, 6.5),
                 other => panic!("{other:?}"),
             }
@@ -1090,13 +1092,13 @@ mod tests {
 
     #[test]
     fn wb_miss_goes_through_memory() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            match port.call(PeRequest::LoadWord { addr: 0x40 }).unwrap() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            match port.call(PeRequest::LoadWord { addr: 0x40 }).await {
                 PeResponse::Word(w) => assert_eq!(w, 0),
                 other => panic!("{other:?}"),
             }
             // Second load of the same line: hit, no new bridge traffic.
-            port.call(PeRequest::LoadWord { addr: 0x44 }).unwrap();
+            port.call(PeRequest::LoadWord { addr: 0x44 }).await;
         });
         run_with_magic_memory(&mut pe, 2000);
         assert_eq!(pe.cache_stats().load_misses.get(), 1);
@@ -1109,9 +1111,9 @@ mod tests {
     fn wt_store_writes_through_every_time() {
         let mut c = cfg(1);
         c.cache = CacheConfig::new(2048, CachePolicy::WriteThrough).unwrap();
-        let mut pe = ProcessingElement::new(c, topo(), bank0(), |port: PePort| {
+        let mut pe = pe_with(c, |port| async move {
             for i in 0..4u32 {
-                port.call(PeRequest::StoreWord { addr: 0x80, value: i }).unwrap();
+                port.call(PeRequest::StoreWord { addr: 0x80, value: i }).await;
             }
         });
         run_with_magic_memory(&mut pe, 4000);
@@ -1121,11 +1123,11 @@ mod tests {
 
     #[test]
     fn flush_writes_dirty_line_back() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            port.call(PeRequest::StoreWord { addr: 0x200, value: 7 }).unwrap();
-            port.call(PeRequest::FlushLine { addr: 0x200 }).unwrap();
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::StoreWord { addr: 0x200, value: 7 }).await;
+            port.call(PeRequest::FlushLine { addr: 0x200 }).await;
             // Clean flush afterwards is free of traffic.
-            port.call(PeRequest::FlushLine { addr: 0x200 }).unwrap();
+            port.call(PeRequest::FlushLine { addr: 0x200 }).await;
         });
         run_with_magic_memory(&mut pe, 4000);
         assert_eq!(pe.cache_stats().writebacks.get(), 1);
@@ -1133,9 +1135,9 @@ mod tests {
 
     #[test]
     fn lock_unlock_sequence() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            port.call(PeRequest::Lock { addr: 0x300 }).unwrap();
-            port.call(PeRequest::Unlock { addr: 0x300 }).unwrap();
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Lock { addr: 0x300 }).await;
+            port.call(PeRequest::Unlock { addr: 0x300 }).await;
         });
         run_with_magic_memory(&mut pe, 2000);
         assert_eq!(pe.bridge_stats().transactions.get(), 2);
@@ -1144,9 +1146,9 @@ mod tests {
     #[test]
     fn message_loopback_via_manual_delivery() {
         // Kernel sends to itself; the test delivers the flits back.
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            port.call(PeRequest::Send { dest: NodeId::new(1), payload: vec![5, 6, 7] }).unwrap();
-            match port.call(PeRequest::Recv { from: None }).unwrap() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Send { dest: NodeId::new(1), payload: vec![5, 6, 7] }).await;
+            match port.call(PeRequest::Recv { from: None }).await {
                 PeResponse::Packet(p) => {
                     assert_eq!(&p.data[..3], &[5, 6, 7]);
                     assert_eq!(p.src, 1);
@@ -1170,8 +1172,8 @@ mod tests {
 
     #[test]
     fn try_recv_empty_returns_none() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            match port.call(PeRequest::TryRecv { from: None }).unwrap() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            match port.call(PeRequest::TryRecv { from: None }).await {
                 PeResponse::MaybePacket(None) => {}
                 other => panic!("{other:?}"),
             }
@@ -1181,9 +1183,9 @@ mod tests {
 
     #[test]
     fn now_reports_cycle() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            port.call(PeRequest::Compute { cycles: 30 }).unwrap();
-            match port.call(PeRequest::Now).unwrap() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Compute { cycles: 30 }).await;
+            match port.call(PeRequest::Now).await {
                 PeResponse::Time(t) => assert!(t >= 30, "clock must have advanced, got {t}"),
                 other => panic!("{other:?}"),
             }
@@ -1193,8 +1195,8 @@ mod tests {
 
     #[test]
     fn wakeup_hints() {
-        let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
-            port.call(PeRequest::Compute { cycles: 100 }).unwrap();
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Compute { cycles: 100 }).await;
         });
         pe.tick(0);
         match pe.wakeup() {

@@ -1,4 +1,10 @@
-//! Kernel-thread rendezvous: the SC_THREAD replacement.
+//! Kernel-thread rendezvous: the former SC_THREAD replacement.
+//!
+//! **Nothing on the simulation engine's path uses this module any more.**
+//! Kernels are now futures that their PE polls once per architectural
+//! operation (`medea_pe::kernel_if`), with no thread and no channel. The
+//! module stays public, unchanged, for the host-speed benchmark's
+//! hand-off probe, which measures the cost of the rendezvous below.
 //!
 //! In the original SystemC model, application code runs inside simulation
 //! threads that block on hardware events. We reproduce that execution model

@@ -13,9 +13,10 @@
 //!   measurements.
 //! * [`rng`] — a small deterministic PRNG (SplitMix64) so simulations are
 //!   bit-reproducible across runs and platforms.
-//! * [`coroutine`] — the SC_THREAD replacement: application kernels run on
-//!   real OS threads and rendezvous with the cycle engine at every
-//!   architectural operation.
+//! * [`coroutine`] — a thread-backed request/reply rendezvous. The engine
+//!   no longer uses it: kernels are futures their PE polls
+//!   (`medea_pe::kernel_if`). It stays for the host-speed benchmark's
+//!   hand-off probe.
 //! * [`par`] — the spin phaser that keeps the tiled parallel cycle engine's
 //!   worker pool in lockstep, one barrier per simulated clock edge.
 //!

@@ -60,7 +60,7 @@
 //! Tracing never changes what the simulator computes, only what it
 //! reports. Engine-side events are observations of state transitions
 //! that happen anyway; kernel-side span markers ride the existing
-//! request/response rendezvous but are consumed by the engine in zero
+//! kernel request/response protocol but are consumed by the engine in zero
 //! simulated cycles and update no statistics. `tests/trace_equivalence.rs`
 //! property-checks `RunResult` equality between traced and untraced runs
 //! on random tori, and the golden suite pins the paper-4×4 fingerprints

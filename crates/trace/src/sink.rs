@@ -24,8 +24,8 @@ use medea_sim::Cycle;
 /// `SystemConfigBuilder::trace`.
 ///
 /// The configuration controls which *kernel-level* markers the eMPI layer
-/// emits (spans are the one event source that crosses the kernel-thread
-/// boundary, so they are opt-in at system-assembly time); every other
+/// emits (spans are the one event source that originates in kernel code
+/// rather than in the engine, so they are opt-in at system-assembly time); every other
 /// class is emitted by the engine and filtered at the sink. Markers cost
 /// zero simulated cycles either way — enabling or disabling tracing never
 /// changes a run's architectural results.

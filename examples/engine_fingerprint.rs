@@ -3,7 +3,7 @@
 //! tests/golden_determinism.rs for the enforced version).
 
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
+use medea::core::system::{kernel, Kernel, System};
 use medea::core::{Empi, SystemConfig};
 use medea::sim::ids::Rank;
 
@@ -12,17 +12,17 @@ fn cfg(pes: usize) -> SystemConfig {
 }
 
 fn pingpong_kernels() -> Vec<Kernel> {
-    let ping: Kernel = Box::new(|api: PeApi| {
+    let ping: Kernel = kernel(move |api: PeApi| async move {
         for i in 1..=40u32 {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
+            api.send_to_rank(Rank::new(1), &[i]).await;
+            let back = api.recv_from_rank(Rank::new(1)).await;
             assert_eq!(back[0], i);
         }
     });
-    let pong: Kernel = Box::new(|api: PeApi| {
+    let pong: Kernel = kernel(move |api: PeApi| async move {
         for _ in 1..=40u32 {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
+            let v = api.recv_from_rank(Rank::new(0)).await;
+            api.send_to_rank(Rank::new(0), &v).await;
         }
     });
     vec![ping, pong]
@@ -34,24 +34,25 @@ fn pingpong_kernels() -> Vec<Kernel> {
 fn reduce_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(50 + 137 * r as u64);
-                comm.barrier();
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
+                comm.compute(50 + 137 * r as u64).await;
+                comm.barrier().await;
                 let mine = r as f64 + 0.5;
                 if comm.rank().is_master() {
                     let mut acc = mine;
                     for src in 1..comm.ranks() {
-                        acc = comm.fadd(acc, comm.recv_f64(Rank::new(src as u8))[0]);
+                        let v = comm.recv_f64(Rank::new(src as u8)).await[0];
+                        acc = comm.fadd(acc, v).await;
                     }
                     for dst in 1..comm.ranks() {
-                        comm.send_f64(Rank::new(dst as u8), &[acc]);
+                        comm.send_f64(Rank::new(dst as u8), &[acc]).await;
                     }
                 } else {
-                    comm.send_f64(Rank::new(0), &[mine]);
-                    comm.recv_f64(Rank::new(0));
+                    comm.send_f64(Rank::new(0), &[mine]).await;
+                    comm.recv_f64(Rank::new(0)).await;
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -59,18 +60,18 @@ fn reduce_kernels(ranks: usize) -> Vec<Kernel> {
 fn gather_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 if r == 0 {
                     for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
+                        let got = comm.recv(Rank::new(src as u8)).await;
                         assert_eq!(got.len(), 40);
                     }
                 } else {
                     let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
+                    comm.send(Rank::new(0), &payload).await;
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }

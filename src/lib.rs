@@ -6,7 +6,9 @@
 //!
 //! This crate re-exports the public API of the individual subsystem crates:
 //!
-//! * [`sim`] — cycle-stepped simulation kernel and kernel-thread coroutines;
+//! * [`sim`] — cycle-stepped simulation foundations (time base, FIFOs,
+//!   statistics, PRNG, the tiled engine's phaser); application kernels
+//!   are futures their PE polls (`pe::kernel_if`), not threads;
 //! * [`trace`] — zero-overhead cross-layer event tracing with Chrome-trace
 //!   and CSV export;
 //! * [`noc`] — folded-torus network-on-chip with deflection routing;

@@ -16,7 +16,7 @@
 
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
+use medea::core::system::{kernel, Kernel, System};
 use medea::core::{
     DeadLink, Empi, FaultConfig, ResilienceConfig, RunError, ScheduledInjector, SystemConfig,
     Topology,
@@ -82,19 +82,19 @@ fn dead_link_alone_is_transparent_to_the_protocol() {
         .expect("configuration");
     let kernels: Vec<Kernel> = (0..8)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 if r == 0 {
                     for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
+                        let got = comm.recv(Rank::new(src as u8)).await;
                         assert_eq!(got.len(), 40, "payload length survives the dead link");
                         assert_eq!(got[0], src as u32 * 1000);
                     }
                 } else {
                     let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
+                    comm.send(Rank::new(0), &payload).await;
                 }
-            }) as Kernel
+            })
         })
         .collect();
     let schedule = FaultConfig { seed: 7, ..FaultConfig::default() }.kill_link(DeadLink {
@@ -129,13 +129,13 @@ fn watchdog_converts_retransmission_livelock_into_structured_error() {
         .build()
         .expect("resilient configuration");
     let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            let _ = comm.recv(Rank::new(1)); // peer never sends
+        kernel(move |api: PeApi| async move {
+            let mut comm = Empi::new(api);
+            let _ = comm.recv(Rank::new(1)).await; // peer never sends
         }),
-        Box::new(|api: PeApi| {
+        kernel(move |api: PeApi| async move {
             let comm = Empi::new(api);
-            comm.compute(10); // finish without sending
+            comm.compute(10).await; // finish without sending
         }),
     ];
     let err = System::run(&sys, &[], kernels).expect_err("must not hang silently");
@@ -165,13 +165,13 @@ fn cycle_limit_error_reports_per_pe_state() {
         .build()
         .expect("resilient configuration, watchdog off");
     let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            let _ = comm.recv(Rank::new(1));
+        kernel(move |api: PeApi| async move {
+            let mut comm = Empi::new(api);
+            let _ = comm.recv(Rank::new(1)).await;
         }),
-        Box::new(|api: PeApi| {
+        kernel(move |api: PeApi| async move {
             let comm = Empi::new(api);
-            comm.compute(10);
+            comm.compute(10).await;
         }),
     ];
     let err = System::run(&sys, &[], kernels).expect_err("cycle limit must trip");
@@ -202,14 +202,14 @@ fn watchdog_tolerates_long_healthy_compute() {
         .build()
         .expect("resilient configuration");
     let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            comm.compute(300_000); // 15 watchdog windows of pure compute
-            comm.send(Rank::new(1), &[1, 2, 3]);
+        kernel(move |api: PeApi| async move {
+            let mut comm = Empi::new(api);
+            comm.compute(300_000).await; // 15 watchdog windows of pure compute
+            comm.send(Rank::new(1), &[1, 2, 3]).await;
         }),
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            let got = comm.recv(Rank::new(0));
+        kernel(move |api: PeApi| async move {
+            let mut comm = Empi::new(api);
+            let got = comm.recv(Rank::new(0)).await;
             assert_eq!(got, vec![1, 2, 3]);
         }),
     ];

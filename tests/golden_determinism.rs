@@ -16,7 +16,7 @@
 use medea::apps::hotspot::{self, HotspotConfig};
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult, System};
+use medea::core::system::{kernel, Kernel, RunResult, System};
 use medea::core::{CollectiveAlgo, Empi, SystemConfig, Topology};
 use medea::sim::ids::Rank;
 use medea::trace::{NullSink, RingSink, TraceConfig};
@@ -48,17 +48,17 @@ fn fingerprint(r: &RunResult) -> Fingerprint {
 
 /// One-word ping-pong over raw TIE messages, 40 round trips.
 fn pingpong_kernels() -> Vec<Kernel> {
-    let ping: Kernel = Box::new(|api: PeApi| {
+    let ping: Kernel = kernel(move |api: PeApi| async move {
         for i in 1..=40u32 {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
+            api.send_to_rank(Rank::new(1), &[i]).await;
+            let back = api.recv_from_rank(Rank::new(1)).await;
             assert_eq!(back[0], i);
         }
     });
-    let pong: Kernel = Box::new(|api: PeApi| {
+    let pong: Kernel = kernel(move |api: PeApi| async move {
         for _ in 1..=40u32 {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
+            let v = api.recv_from_rank(Rank::new(0)).await;
+            api.send_to_rank(Rank::new(0), &v).await;
         }
     });
     vec![ping, pong]
@@ -74,27 +74,28 @@ fn pingpong_kernels() -> Vec<Kernel> {
 fn reduce_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(50 + 137 * r as u64);
-                comm.barrier();
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
+                comm.compute(50 + 137 * r as u64).await;
+                comm.barrier().await;
                 let mine = r as f64 + 0.5;
                 let total = if comm.rank().is_master() {
                     let mut acc = mine;
                     for src in 1..comm.ranks() {
-                        acc = comm.fadd(acc, comm.recv_f64(Rank::new(src as u8))[0]);
+                        let v = comm.recv_f64(Rank::new(src as u8)).await[0];
+                        acc = comm.fadd(acc, v).await;
                     }
                     for dst in 1..comm.ranks() {
-                        comm.send_f64(Rank::new(dst as u8), &[acc]);
+                        comm.send_f64(Rank::new(dst as u8), &[acc]).await;
                     }
                     acc
                 } else {
-                    comm.send_f64(Rank::new(0), &[mine]);
-                    comm.recv_f64(Rank::new(0))[0]
+                    comm.send_f64(Rank::new(0), &[mine]).await;
+                    comm.recv_f64(Rank::new(0)).await[0]
                 };
                 let expect = (0..comm.ranks()).map(|k| k as f64 + 0.5).sum::<f64>();
                 assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -104,14 +105,14 @@ fn reduce_kernels(ranks: usize) -> Vec<Kernel> {
 fn allreduce_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(50 + 137 * r as u64);
-                comm.barrier();
-                let total = comm.allreduce(r as f64 + 0.5);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
+                comm.compute(50 + 137 * r as u64).await;
+                comm.barrier().await;
+                let total = comm.allreduce(r as f64 + 0.5).await;
                 let expect = (0..comm.ranks()).map(|k| k as f64 + 0.5).sum::<f64>();
                 assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -122,18 +123,18 @@ fn allreduce_kernels(ranks: usize) -> Vec<Kernel> {
 fn gather_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 if r == 0 {
                     for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
+                        let got = comm.recv(Rank::new(src as u8)).await;
                         assert_eq!(got.len(), 40);
                     }
                 } else {
                     let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
+                    comm.send(Rank::new(0), &payload).await;
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -143,18 +144,18 @@ fn gather_kernels(ranks: usize) -> Vec<Kernel> {
 fn sharedmem_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
+            kernel(move |api: PeApi| async move {
                 const COUNTER: u32 = 0x100;
                 const LOCK: u32 = 0x200;
                 for _ in 0..6 {
-                    api.lock(LOCK);
-                    let v = api.uncached_load_u32(COUNTER);
-                    api.uncached_store_u32(COUNTER, v + 1);
-                    api.unlock(LOCK);
+                    api.lock(LOCK).await;
+                    let v = api.uncached_load_u32(COUNTER).await;
+                    api.uncached_store_u32(COUNTER, v + 1).await;
+                    api.unlock(LOCK).await;
                 }
-                api.store_f64(api.private_base(), r as f64);
-                api.flush_line(api.private_base());
-            }) as Kernel
+                api.store_f64(api.private_base(), r as f64).await;
+                api.flush_line(api.private_base()).await;
+            })
         })
         .collect()
 }
@@ -330,19 +331,19 @@ fn duplex_exchange_fingerprint_stable_across_runs() {
     let kernels = || -> Vec<Kernel> {
         (0..4)
             .map(|r| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                kernel(move |api: PeApi| async move {
+                    let mut comm = Empi::new(api);
                     let payload: Vec<u32> = (0..64).map(|i| (r * 100 + i) as u32).collect();
                     // Symmetric pairwise exchange: 0<->1, 2<->3.
                     let peer = Some(Rank::new((r ^ 1) as u8));
-                    let got = comm.sendrecv(peer, &payload, peer).expect("duplex");
+                    let got = comm.sendrecv(peer, &payload, peer).await.expect("duplex");
                     assert_eq!(got.len(), 64);
                     // Chained exchange: r -> r+1.
                     let ranks = comm.ranks();
                     let next = (r + 1 < ranks).then(|| Rank::new((r + 1) as u8));
                     let prev = (r > 0).then(|| Rank::new((r - 1) as u8));
-                    let _ = comm.sendrecv(next, &payload, prev);
-                }) as Kernel
+                    let _ = comm.sendrecv(next, &payload, prev).await;
+                })
             })
             .collect()
     };

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult, System};
+use medea::core::system::{kernel, Kernel, RunResult, System};
 use medea::core::{Empi, SystemConfig, Topology};
 use medea::sim::ids::Rank;
 use medea::sim::rng::SplitMix64;
@@ -129,17 +129,17 @@ fn assert_identical(label: &str, a: &RunResult, b: &RunResult) {
 // ---------------------------------------------------------------------
 
 fn pingpong_kernels() -> Vec<Kernel> {
-    let ping: Kernel = Box::new(|api: PeApi| {
+    let ping: Kernel = kernel(move |api: PeApi| async move {
         for i in 1..=40u32 {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
+            api.send_to_rank(Rank::new(1), &[i]).await;
+            let back = api.recv_from_rank(Rank::new(1)).await;
             assert_eq!(back[0], i);
         }
     });
-    let pong: Kernel = Box::new(|api: PeApi| {
+    let pong: Kernel = kernel(move |api: PeApi| async move {
         for _ in 1..=40u32 {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
+            let v = api.recv_from_rank(Rank::new(0)).await;
+            api.send_to_rank(Rank::new(0), &v).await;
         }
     });
     vec![ping, pong]
@@ -148,27 +148,28 @@ fn pingpong_kernels() -> Vec<Kernel> {
 fn reduce_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(50 + 137 * r as u64);
-                comm.barrier();
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
+                comm.compute(50 + 137 * r as u64).await;
+                comm.barrier().await;
                 let mine = r as f64 + 0.5;
                 let total = if comm.rank().is_master() {
                     let mut acc = mine;
                     for src in 1..comm.ranks() {
-                        acc = comm.fadd(acc, comm.recv_f64(Rank::new(src as u8))[0]);
+                        let v = comm.recv_f64(Rank::new(src as u8)).await[0];
+                        acc = comm.fadd(acc, v).await;
                     }
                     for dst in 1..comm.ranks() {
-                        comm.send_f64(Rank::new(dst as u8), &[acc]);
+                        comm.send_f64(Rank::new(dst as u8), &[acc]).await;
                     }
                     acc
                 } else {
-                    comm.send_f64(Rank::new(0), &[mine]);
-                    comm.recv_f64(Rank::new(0))[0]
+                    comm.send_f64(Rank::new(0), &[mine]).await;
+                    comm.recv_f64(Rank::new(0)).await[0]
                 };
                 let expect = (0..comm.ranks()).map(|k| k as f64 + 0.5).sum::<f64>();
                 assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -176,18 +177,18 @@ fn reduce_kernels(ranks: usize) -> Vec<Kernel> {
 fn gather_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            kernel(move |api: PeApi| async move {
+                let mut comm = Empi::new(api);
                 if r == 0 {
                     for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
+                        let got = comm.recv(Rank::new(src as u8)).await;
                         assert_eq!(got.len(), 40);
                     }
                 } else {
                     let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
+                    comm.send(Rank::new(0), &payload).await;
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -195,18 +196,18 @@ fn gather_kernels(ranks: usize) -> Vec<Kernel> {
 fn sharedmem_kernels(ranks: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
+            kernel(move |api: PeApi| async move {
                 const COUNTER: u32 = 0x100;
                 const LOCK: u32 = 0x200;
                 for _ in 0..6 {
-                    api.lock(LOCK);
-                    let v = api.uncached_load_u32(COUNTER);
-                    api.uncached_store_u32(COUNTER, v + 1);
-                    api.unlock(LOCK);
+                    api.lock(LOCK).await;
+                    let v = api.uncached_load_u32(COUNTER).await;
+                    api.uncached_store_u32(COUNTER, v + 1).await;
+                    api.unlock(LOCK).await;
                 }
-                api.store_f64(api.private_base(), r as f64);
-                api.flush_line(api.private_base());
-            }) as Kernel
+                api.store_f64(api.private_base(), r as f64).await;
+                api.flush_line(api.private_base()).await;
+            })
         })
         .collect()
 }
@@ -217,32 +218,34 @@ fn sharedmem_kernels(ranks: usize) -> Vec<Kernel> {
 fn seeded_kernels(ranks: usize, seed: u64, ops: usize) -> Vec<Kernel> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
+            kernel(move |api: PeApi| async move {
                 const LOCK: u32 = 0x40;
                 const COUNTER: u32 = 0x44;
-                let comm = Empi::new(api);
+                let mut comm = Empi::new(api);
                 let mut rng = SplitMix64::new(seed ^ (r as u64).wrapping_mul(0x9E37_79B9));
                 let base = comm.private_base();
                 for i in 0..ops {
                     match rng.next_u64() % 6 {
-                        0 => comm.compute(1 + rng.next_u64() % 64),
-                        1 => comm.store_u32(base + (i as u32 % 16) * 4, rng.next_u64() as u32),
+                        0 => comm.compute(1 + rng.next_u64() % 64).await,
+                        1 => {
+                            comm.store_u32(base + (i as u32 % 16) * 4, rng.next_u64() as u32).await
+                        }
                         2 => {
-                            let _ = comm.load_u32(base + (i as u32 % 16) * 4);
+                            let _ = comm.load_u32(base + (i as u32 % 16) * 4).await;
                         }
                         3 => {
-                            comm.flush_line(base);
-                            comm.invalidate_line(base);
+                            comm.flush_line(base).await;
+                            comm.invalidate_line(base).await;
                         }
                         4 => {
-                            comm.uncached_store_u32(0x80 + r as u32 * 4, i as u32);
-                            let _ = comm.uncached_load_u32(0x80 + r as u32 * 4);
+                            comm.uncached_store_u32(0x80 + r as u32 * 4, i as u32).await;
+                            let _ = comm.uncached_load_u32(0x80 + r as u32 * 4).await;
                         }
                         _ => {
-                            comm.lock(LOCK);
-                            let v = comm.uncached_load_u32(COUNTER);
-                            comm.uncached_store_u32(COUNTER, v + 1);
-                            comm.unlock(LOCK);
+                            comm.lock(LOCK).await;
+                            let v = comm.uncached_load_u32(COUNTER).await;
+                            comm.uncached_store_u32(COUNTER, v + 1).await;
+                            comm.unlock(LOCK).await;
                         }
                     }
                 }
@@ -252,14 +255,14 @@ fn seeded_kernels(ranks: usize, seed: u64, ops: usize) -> Vec<Kernel> {
                     let next = Rank::new(((rank + 1) % ranks) as u8);
                     let prev = Rank::new(((rank + ranks - 1) % ranks) as u8);
                     let payload: Vec<u32> = (0..8).map(|i| (rank * 100 + i) as u32).collect();
-                    let got = comm.sendrecv(Some(next), &payload, Some(prev)).expect("ring");
+                    let got = comm.sendrecv(Some(next), &payload, Some(prev)).await.expect("ring");
                     assert_eq!(got[0] as usize, ((rank + ranks - 1) % ranks) * 100);
                 }
-                comm.barrier();
-                let total = comm.allreduce(r as f64 + 0.25);
+                comm.barrier().await;
+                let total = comm.allreduce(r as f64 + 0.25).await;
                 let expect = (0..comm.ranks()).map(|k| k as f64 + 0.25).sum::<f64>();
                 assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -413,11 +416,11 @@ fn traced_capture_matches_sequential_per_cycle() {
 fn deadlock_detection_is_identical() {
     let kernels = || -> Vec<Kernel> {
         vec![
-            Box::new(|api: PeApi| {
-                let _ = api.recv_from_rank(Rank::new(1));
+            kernel(move |api: PeApi| async move {
+                let _ = api.recv_from_rank(Rank::new(1)).await;
             }),
-            Box::new(|api: PeApi| {
-                let _ = api.recv_from_rank(Rank::new(0));
+            kernel(move |api: PeApi| async move {
+                let _ = api.recv_from_rank(Rank::new(0)).await;
             }),
         ]
     };
