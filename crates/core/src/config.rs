@@ -228,7 +228,7 @@ impl SystemConfig {
     }
 
     /// Host worker threads the cycle engine may use inside one run
-    /// (default 1 = the sequential engine). See
+    /// (default 1 = one tile on the calling thread). See
     /// [`SystemConfigBuilder::host_threads`]; purely a host-side
     /// execution knob, never part of the architectural configuration or
     /// its label.
@@ -658,14 +658,13 @@ impl SystemConfigBuilder {
     }
 
     /// Host worker threads the cycle engine may use *inside* one run
-    /// (default 1 = the sequential engine).
+    /// (default 1 = one tile on the calling thread).
     ///
     /// With `n > 1` on a deflection fabric, `System::run` domain-
-    /// decomposes the torus into up to `n` contiguous node tiles and
-    /// advances them on a scoped worker pool in lockstep, one barrier per
-    /// simulated cycle; results are bit-identical to the sequential
-    /// engine at every thread count (see the parallel-engine notes in
-    /// `system.rs`). This is a host execution knob, not an architectural
+    /// decomposes the torus into `min(n, nodes)` contiguous node tiles
+    /// and advances them on a scoped worker pool in lockstep, one barrier
+    /// per simulated cycle; results are bit-identical to one tile at
+    /// every thread count (see the engine notes in `tiled.rs`). This is a host execution knob, not an architectural
     /// parameter: it never affects [`SystemConfig::label`], and sweeps
     /// cap their own worker count so sweep threads × engine threads stay
     /// within the machine (`run_sweep`).

@@ -1,7 +1,8 @@
-//! The full-system cycle engine.
+//! The full-system simulator: its entry points, results and the
+//! per-component helpers of the cycle loop.
 //!
-//! Assembles the fabric, the MPMMU bank(s) and the processing elements,
-//! then runs the single-clock cycle loop:
+//! A run assembles the fabric, the MPMMU bank(s) and the processing
+//! elements, then runs the single-clock cycle loop:
 //!
 //! 1. deliver flits ejected by the fabric to their node interfaces (PEs
 //!    first, then every memory bank in bank order);
@@ -16,34 +17,33 @@
 //! needs is one set of helpers ([`banks_deliver`], [`banks_tick`],
 //! [`banks_inject`], [`banks_quiet`]) shared by both engines below.
 //!
-//! Three engines implement that loop:
+//! One engine implements that loop, plus a reference oracle:
 //!
-//! * [`System::run`] — the production engine. Statically dispatched
-//!   fabric ([`AnyFabric`]), per-PE wake scheduling (a PE parked in a
-//!   pure time stall until cycle `t` is not ticked across the
-//!   intervening cycles, even while the fabric or other PEs stay busy),
-//!   ejection delivery gated on the fabric's O(1) flit census, and the
-//!   whole-system fast-forward across cycles in which every component is
-//!   provably idle — the optimizations that make the 168-point
-//!   exploration cheap, standing in for the paper's 15× SystemC-over-HDL
-//!   speedup.
+//! * [`System::run`] — the engine ([`crate::tiled`]), with `T ≥ 1` tiles.
+//!   The torus is split into `T = min(host_threads, nodes)` contiguous
+//!   node tiles ([`crate::config::SystemConfigBuilder::host_threads`]);
+//!   one function runs a tile's share of a cycle and one function makes
+//!   the end-of-cycle decision, for every `T`. One tile runs on the
+//!   calling thread; more tiles run one worker thread each, with a
+//!   per-cycle barrier exchanging only the boundary link latches and
+//!   every cross-tile effect merged in fixed tile-index order, so results
+//!   are **bit-identical** at every thread count
+//!   (`tests/parallel_equivalence.rs`). The fabric is statically
+//!   dispatched, PEs are wake-scheduled (a PE parked in a pure time stall
+//!   until cycle `t` is not ticked across the intervening cycles, even
+//!   while the fabric or other PEs stay busy), ejection delivery is gated
+//!   on the fabric's O(1) flit census, and the whole system fast-forwards
+//!   across cycles in which every component is provably idle — the
+//!   optimizations that make the 168-point exploration cheap, standing in
+//!   for the paper's 15× SystemC-over-HDL speedup.
 //! * [`System::run_reference`] — the naive tick-everything loop behind a
-//!   `Box<dyn Fabric>`, kept as the behavioral reference: both engines
-//!   must produce bit-identical results (`tests/golden_determinism.rs`,
-//!   `engine_equivalence` below), and the pair is the before/after
-//!   baseline of the `BENCH_sim_speed.json` harness.
-//! * the **tiled parallel engine** ([`crate::tiled`]) — selected by
-//!   [`crate::config::SystemConfigBuilder::host_threads`] when more than
-//!   one thread is requested on a deflection fabric. The torus is
-//!   domain-decomposed into contiguous node tiles, one worker thread per
-//!   tile, with a per-cycle barrier exchanging only the boundary link
-//!   latches; every cross-tile effect is merged in fixed tile-index
-//!   order, so results stay **bit-identical** to this sequential engine
-//!   at every thread count (`tests/parallel_equivalence.rs`). The
-//!   helpers below are shared with it (`pub(crate)`) so both engines run
-//!   literally the same per-component code.
+//!   `Box<dyn Fabric>` over the frozen seed fabric, kept as the
+//!   behavioral oracle: both engines must produce bit-identical results
+//!   (`tests/golden_determinism.rs`, `engine_equivalence` below), and the
+//!   pair is the before/after baseline of the `BENCH_sim_speed.json`
+//!   harness.
 //!
-//! The production engine is generic over a `medea_trace::TraceSink`
+//! The engine is generic over a `medea_trace::TraceSink`
 //! ([`System::run_traced`]): every layer emits typed, timestamped events
 //! (NoC flit movement and link load, cache and coherence activity, MPMMU
 //! transactions and lock traffic, kernel-level operation spans) behind
@@ -71,12 +71,10 @@ use medea_cache::{Addr, CacheStats, CoherenceStats};
 use medea_fault::{FaultInjector, FaultStats, NullInjector};
 use medea_mem::{Mpmmu, MpmmuStats};
 use medea_metrics::{Meter, MetricsReport, NullMeter, Recorder};
-use medea_noc::coord::Dir;
-use medea_noc::flit::{Flit, PacketKind, SubKind};
+use medea_noc::flit::Flit;
 use medea_noc::ideal::IdealNetwork;
-use medea_noc::network::Network;
 use medea_noc::reference::ReferenceNetwork;
-use medea_noc::{AnyFabric, Fabric};
+use medea_noc::Fabric;
 use medea_pe::bridge::BridgeStats;
 use medea_pe::pe::{PeStats, ProcessingElement, Wakeup};
 use medea_pe::tie::TieStats;
@@ -414,254 +412,17 @@ impl System {
                 cfg.compute_pes(),
                 cfg.memory_banks(),
             );
-            Self::run_metered(cfg, preload, kernels, sink, injector, &mut meter).map(|mut r| {
+            crate::tiled::run(cfg, preload, kernels, sink, injector, &mut meter).map(|mut r| {
                 r.metrics = Some(meter.into_report());
                 r
             })
         } else {
-            Self::run_metered(cfg, preload, kernels, sink, injector, &mut NullMeter)
+            crate::tiled::run(cfg, preload, kernels, sink, injector, &mut NullMeter)
         };
         if let Ok(r) = &mut out {
             r.trace_drops = sink.io_drops();
         }
         out
-    }
-
-    /// The engine body behind [`System::run_faulted`], generic over the
-    /// meter. Kernel count is already checked by the caller.
-    fn run_metered<S: TraceSink, I: FaultInjector, M: Meter>(
-        cfg: &SystemConfig,
-        preload: &[(Addr, u32)],
-        kernels: Vec<Kernel>,
-        sink: &mut S,
-        injector: &mut I,
-        meter: &mut M,
-    ) -> Result<RunResult, RunError> {
-        // The tiled parallel engine takes over whole runs when the
-        // configuration asks for it (and the injector can be forked);
-        // otherwise the kernels come back and the sequential path below
-        // runs unchanged.
-        let kernels =
-            match crate::tiled::try_run_tiled(cfg, preload, kernels, sink, injector, meter) {
-                Ok(outcome) => return outcome,
-                Err(kernels) => kernels,
-            };
-        let topo = cfg.topology();
-        let mut fabric: AnyFabric = match cfg.fabric() {
-            FabricKind::Deflection => Network::new(topo).into(),
-            FabricKind::Ideal => IdealNetwork::new(topo).into(),
-        };
-        let mut banks = build_banks(cfg, preload);
-        let mut pes = build_pes(cfg, kernels);
-
-        let wall_start = Instant::now();
-        // Per-PE wake schedule: the cycle at which each PE must next be
-        // ticked. A PE parked in a pure time stall (drained bridge and
-        // arbiter — see `ProcessingElement::sleep_until`) is skipped
-        // entirely until its wake cycle; for such a PE a tick is provably
-        // a no-op and it cannot inject, so skipping is bit-identical to
-        // the reference engine's tick-everything loop.
-        let mut wake: Vec<Cycle> = vec![0; pes.len()];
-        let mut ticked: Vec<bool> = vec![false; pes.len()];
-        let mut live = pes.len();
-        let mut now: Cycle = 0;
-        // Progress watchdog (off at 0) and the rolling tail of recent
-        // engine-side fault events, attached to hang diagnostics.
-        let watchdog = cfg.resilience().watchdog_cycles;
-        let mut last_fingerprint = progress_fingerprint(&pes, &banks);
-        let mut last_progress_at: Cycle = 0;
-        let mut fault_log: VecDeque<(Cycle, TraceEvent)> = VecDeque::new();
-        loop {
-            // 0a. Sampling catch-up: commit every window whose boundary
-            // has passed. The loop form makes the idle fast-forward jump
-            // below emit one window per crossed boundary with frozen
-            // state — exactly what cycle-by-cycle execution would have
-            // observed.
-            if M::ACTIVE {
-                while meter.next_sample() <= now {
-                    sample_pes_banks(meter, &pes, 0, &banks, 0);
-                    meter.commit_window();
-                }
-            }
-
-            // 0b. Apply scheduled permanent faults before any traffic
-            // moves this cycle.
-            if I::ACTIVE {
-                while let Some(kill) = injector.take_link_kill(now) {
-                    fabric.kill_link(NodeId::new(kill.node), Dir::ALL[kill.dir as usize & 3]);
-                    let ev = TraceEvent::FaultLinkKilled { node: kill.node, dir: kill.dir & 3 };
-                    if S::ACTIVE {
-                        sink.record(now, ev);
-                    }
-                    push_fault(&mut fault_log, now, ev);
-                }
-            }
-
-            // 1. Deliver ejections. With the O(1) flit census, a drained
-            // fabric skips the per-node ejection polls outright.
-            if fabric.in_flight() > 0 {
-                for (i, pe) in pes.iter_mut().enumerate() {
-                    let node = pe.node();
-                    while let Some(mut flit) = fabric.eject(node) {
-                        if I::ACTIVE && !flit.kind().is_shared_memory() {
-                            if let Some(bit) = injector.corrupt_flit(now, node.index() as u16) {
-                                flit.corrupt_payload_bit(bit);
-                                let ev = TraceEvent::FaultFlitCorrupted {
-                                    node: node.index() as u16,
-                                    bit,
-                                };
-                                if S::ACTIVE {
-                                    sink.record(now, ev);
-                                }
-                                push_fault(&mut fault_log, now, ev);
-                            }
-                        }
-                        if S::ACTIVE {
-                            sink.record(now, delivered_event(node, &flit, now));
-                        }
-                        // A directory probe must wake even a parked or
-                        // retired PE: the home bank blocks until it is
-                        // answered.
-                        if flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request {
-                            wake[i] = now;
-                        }
-                        pe.deliver_traced(flit, now, sink);
-                    }
-                }
-            }
-            banks_deliver(&mut fabric, &mut banks, now, sink);
-
-            // 2. Tick runnable components (a bank's tick is a no-op while
-            // it is idle, so it is skipped then too).
-            for (i, pe) in pes.iter_mut().enumerate() {
-                if I::ACTIVE && wake[i] <= now && !pe.is_done() {
-                    let stall = injector.pe_stall(now, pe.node().index() as u16);
-                    if stall > 0 {
-                        wake[i] = now + Cycle::from(stall);
-                        let ev = TraceEvent::FaultPeStall {
-                            node: pe.node().index() as u16,
-                            cycles: stall,
-                        };
-                        if S::ACTIVE {
-                            sink.record(now, ev);
-                        }
-                        push_fault(&mut fault_log, now, ev);
-                    }
-                }
-                if wake[i] > now {
-                    ticked[i] = false;
-                    continue;
-                }
-                ticked[i] = true;
-                let was_done = pe.is_done();
-                pe.tick_traced(now, sink);
-                if M::ACTIVE {
-                    // Interval attribution: the recorder charges the span
-                    // since this PE's previous tick to its previous
-                    // activity, so skipped (parked) cycles are charged to
-                    // the state the PE parked in.
-                    meter.pe_state(i, now, pe.activity());
-                }
-                if !was_done && pe.is_done() {
-                    live -= 1;
-                }
-                wake[i] = match pe.sleep_until() {
-                    Some(t) => t.max(now + 1),
-                    None => now + 1,
-                };
-            }
-            banks_tick(&mut banks, now, true, sink, injector);
-
-            // 3. Inject (one flit per node per cycle). A skipped PE has a
-            // drained arbiter by construction, so only ticked PEs can
-            // have traffic to offer.
-            for (i, pe) in pes.iter_mut().enumerate() {
-                if !ticked[i] {
-                    continue;
-                }
-                if let Some(flit) = pe.select_inject() {
-                    let kind = flit.kind().code();
-                    match fabric.try_inject_tagged(pe.node(), flit, now, false) {
-                        Ok(()) => {
-                            if S::ACTIVE {
-                                let node = pe.node().index() as u16;
-                                sink.record(now, TraceEvent::FlitInjected { node, kind });
-                            }
-                        }
-                        Err(back) => pe.restore_inject(back),
-                    }
-                }
-            }
-            banks_inject(&mut fabric, &mut banks, now, sink);
-
-            // 4. Fabric (activity-scheduled internally; a drained fabric
-            // ticks in constant time).
-            fabric.tick_metered(now, sink, meter);
-
-            // 5. Termination, limits, fast-forward.
-            if live == 0 {
-                if M::ACTIVE {
-                    // Final snapshot + flush: close the open attribution
-                    // spans at `now` and commit the partial last window.
-                    sample_pes_banks(meter, &pes, 0, &banks, 0);
-                    meter.finish(now);
-                }
-                break;
-            }
-            if now >= cfg.cycle_limit() {
-                return Err(RunError::CycleLimit {
-                    limit: cfg.cycle_limit(),
-                    detail: stall_detail(&pes, &banks, fabric.in_flight(), &fault_log),
-                });
-            }
-            if watchdog > 0 {
-                let fp = progress_fingerprint(&pes, &banks);
-                if fp != last_fingerprint {
-                    last_fingerprint = fp;
-                    last_progress_at = now;
-                } else if pes.iter().enumerate().any(|(i, pe)| !pe.is_done() && wake[i] > now + 1) {
-                    // A PE parked in a multi-cycle timed stall (a long
-                    // `compute`, a bridge backoff) is healthy, not hung —
-                    // it will produce work when it wakes, even though
-                    // another PE polling every cycle keeps the fast-
-                    // forward jump (which would reset the window) from
-                    // engaging. Keep the window open while the stall is
-                    // in flight; a livelock has every live PE spinning at
-                    // wake = now + 1, so this never masks one.
-                    last_progress_at = now;
-                } else if now - last_progress_at >= watchdog {
-                    return Err(RunError::Watchdog {
-                        at: now,
-                        detail: stall_detail(&pes, &banks, fabric.in_flight(), &fault_log),
-                    });
-                }
-            }
-            let quiet = fabric.in_flight() == 0 && banks_quiet(&banks);
-            if quiet {
-                match classify_quiet(&pes) {
-                    QuietState::AllTimed { min_wake } => {
-                        // Never skip past the cycle limit: the limit check
-                        // must still observe the overrun.
-                        let t = min_wake.min(cfg.cycle_limit());
-                        if t > now + 1 {
-                            // The jump is legitimate forward progress
-                            // (every PE is provably in a timed stall), so
-                            // it must not age the watchdog window.
-                            last_progress_at = t;
-                            now = t;
-                            continue;
-                        }
-                    }
-                    QuietState::Deadlocked => {
-                        return Err(RunError::Deadlock { at: now, detail: deadlock_detail(&pes) });
-                    }
-                    QuietState::Mixed => {}
-                }
-            }
-            now += 1;
-        }
-
-        Ok(finish_result(now, &pes, fabric.stats(), &banks, wall_start, injector.stats()))
     }
 
     /// Run `kernels` on the naive reference engine: the frozen seed
@@ -733,7 +494,7 @@ impl System {
             }
             let quiet = fabric.in_flight() == 0 && banks_quiet(&banks);
             if quiet {
-                match classify_quiet(&pes) {
+                match QuietFold::of(&pes).classify() {
                     QuietState::AllTimed { min_wake } => {
                         let t = min_wake.min(cfg.cycle_limit());
                         if t > now + 1 {
@@ -804,10 +565,11 @@ pub(crate) fn delivered_event(node: NodeId, flit: &Flit, now: Cycle) -> TraceEve
 }
 
 /// Deliver ejections to every bank: retry the held flit first, then drain
-/// the node's ejection queue until the bank back-pressures. Shared by both
-/// engines — with a drained fabric (`in_flight() == 0`) the eject loop is
-/// a no-op either way, so the census gate is a pure optimization.
-fn banks_deliver<F: Fabric + ?Sized, S: TraceSink>(
+/// the node's ejection queue until the bank back-pressures. Shared by the
+/// engine and the reference engine — with a drained fabric
+/// (`in_flight() == 0`) the eject loop is a no-op either way, so the
+/// census gate is a pure optimization.
+pub(crate) fn banks_deliver<F: Fabric + ?Sized, S: TraceSink>(
     fabric: &mut F,
     banks: &mut [Bank],
     now: Cycle,
@@ -854,7 +616,7 @@ pub(crate) fn banks_tick<S: TraceSink, I: FaultInjector>(
 
 /// Inject at most one response flit per bank (one flit per node per
 /// cycle); a refused flit goes back to the front of the bank's out FIFO.
-fn banks_inject<F: Fabric + ?Sized, S: TraceSink>(
+pub(crate) fn banks_inject<F: Fabric + ?Sized, S: TraceSink>(
     fabric: &mut F,
     banks: &mut [Bank],
     now: Cycle,
@@ -919,50 +681,59 @@ pub(crate) enum QuietState {
     Mixed,
 }
 
-/// The commutative core of [`classify_quiet`]:
-/// `(all_timed AND, min_wake MIN, all_recv_blocked AND)` folded over a
-/// slice of PEs. The identity element is `(true, None, true)` (an empty
-/// tile constrains nothing), so the tiled engine can fold each tile's
-/// partial independently and merge them in any order — the merged triple
-/// is bit-identical to folding the whole rank-ordered PE list at once.
-pub(crate) fn quiet_fold(pes: &[ProcessingElement]) -> (bool, Option<Cycle>, bool) {
-    let mut min_wake: Option<Cycle> = None;
-    let mut all_timed = true;
-    let mut all_recv_blocked = true;
-    for pe in pes {
-        match pe.wakeup() {
-            Wakeup::Done => {}
-            Wakeup::At(t) => {
-                all_recv_blocked = false;
-                min_wake = Some(min_wake.map_or(t, |m| m.min(t)));
-            }
-            Wakeup::External => {
-                all_timed = false;
-                if !pe.is_recv_blocked() {
-                    all_recv_blocked = false;
-                }
-            }
-        }
-    }
-    (all_timed, min_wake, all_recv_blocked)
-}
-
-/// Turn the folded triple into the quiet-cycle verdict.
-pub(crate) fn classify_fold(
+/// The commutative fold behind [`QuietState`]: `all_timed` (AND),
+/// `min_wake` (MIN) and `all_recv_blocked` (AND) over a slice of PEs. An
+/// empty slice constrains nothing, so per-tile folds merge in any order
+/// to the fold of the whole rank-ordered PE list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QuietFold {
     all_timed: bool,
     min_wake: Option<Cycle>,
     all_recv_blocked: bool,
-) -> QuietState {
-    match (all_timed, min_wake) {
-        (true, Some(min_wake)) => QuietState::AllTimed { min_wake },
-        _ if all_recv_blocked && !all_timed => QuietState::Deadlocked,
-        _ => QuietState::Mixed,
-    }
 }
 
-fn classify_quiet(pes: &[ProcessingElement]) -> QuietState {
-    let (all_timed, min_wake, all_recv_blocked) = quiet_fold(pes);
-    classify_fold(all_timed, min_wake, all_recv_blocked)
+impl QuietFold {
+    /// Fold the wake-up states of `pes`.
+    pub(crate) fn of(pes: &[ProcessingElement]) -> Self {
+        let mut fold = QuietFold { all_timed: true, min_wake: None, all_recv_blocked: true };
+        for pe in pes {
+            match pe.wakeup() {
+                Wakeup::Done => {}
+                Wakeup::At(t) => {
+                    fold.all_recv_blocked = false;
+                    fold.min_wake = Some(fold.min_wake.map_or(t, |m| m.min(t)));
+                }
+                Wakeup::External => {
+                    fold.all_timed = false;
+                    if !pe.is_recv_blocked() {
+                        fold.all_recv_blocked = false;
+                    }
+                }
+            }
+        }
+        fold
+    }
+
+    /// The fold of both PE sets.
+    pub(crate) fn merge(self, other: QuietFold) -> QuietFold {
+        QuietFold {
+            all_timed: self.all_timed && other.all_timed,
+            min_wake: match (self.min_wake, other.min_wake) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+            all_recv_blocked: self.all_recv_blocked && other.all_recv_blocked,
+        }
+    }
+
+    /// The quiet-cycle verdict.
+    pub(crate) fn classify(self) -> QuietState {
+        match (self.all_timed, self.min_wake) {
+            (true, Some(min_wake)) => QuietState::AllTimed { min_wake },
+            _ if self.all_recv_blocked && !self.all_timed => QuietState::Deadlocked,
+            _ => QuietState::Mixed,
+        }
+    }
 }
 
 pub(crate) fn deadlock_detail(pes: &[ProcessingElement]) -> String {
@@ -976,13 +747,6 @@ pub(crate) fn deadlock_detail(pes: &[ProcessingElement]) -> String {
 
 /// How many engine-side fault events the hang diagnostics keep.
 pub(crate) const FAULT_LOG_CAP: usize = 64;
-
-fn push_fault(log: &mut VecDeque<(Cycle, TraceEvent)>, now: Cycle, ev: TraceEvent) {
-    if log.len() == FAULT_LOG_CAP {
-        log.pop_front();
-    }
-    log.push_back((now, ev));
-}
 
 /// The watchdog's progress fingerprint: work *served*, not work
 /// *attempted*. Packets received by PEs plus transactions completed by
@@ -1107,18 +871,18 @@ pub(crate) fn finish_result(
         banks: per_bank,
         fault,
         coherence,
-        // Attached by the `run_faulted` dispatcher after the engine
-        // returns; the reference engine never records either.
+        // Attached by `run_faulted` after the engine returns; the
+        // reference engine never records either.
         metrics: None,
         trace_drops: 0,
         wall: wall_start.elapsed(),
     }
 }
 
-/// Snapshot every PE and bank into `meter` at a sample-window boundary —
-/// the one sampling pass shared by the sequential engine (bases 0) and
-/// each tile of the tiled engine (bases = the tile's global slot
-/// offsets, so full-size per-tile forks merge by element-wise sum).
+/// Snapshot a tile's PEs and banks into `meter` at a sample-window
+/// boundary. The bases are the tile's global slot offsets (0 for a
+/// one-tile run), so full-size per-tile meter forks merge by element-wise
+/// sum.
 pub(crate) fn sample_pes_banks<M: Meter>(
     meter: &mut M,
     pes: &[ProcessingElement],
@@ -1477,13 +1241,21 @@ mod tests {
     #[test]
     fn engine_equivalence() {
         // The scheduled engine and the naive reference engine must agree
-        // bit-for-bit on every architectural observable, on both fabrics.
-        for fabric in [FabricKind::Deflection, FabricKind::Ideal] {
+        // bit-for-bit on every architectural observable, on both fabrics
+        // and at one and four host threads (the ideal fabric runs on one
+        // tile whatever the thread count).
+        for (fabric, threads) in [
+            (FabricKind::Deflection, 1),
+            (FabricKind::Deflection, 4),
+            (FabricKind::Ideal, 1),
+            (FabricKind::Ideal, 4),
+        ] {
             let mk = || {
                 SystemConfig::builder()
                     .compute_pes(3)
                     .fabric(fabric)
                     .cycle_limit(5_000_000)
+                    .host_threads(threads)
                     .build()
                     .unwrap()
             };

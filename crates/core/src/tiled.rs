@@ -1,60 +1,75 @@
-//! The tiled parallel cycle engine: deterministic intra-run parallelism.
+//! The cycle engine: one clock, `T ≥ 1` tiles.
 //!
-//! [`try_run_tiled`] domain-decomposes the torus into `T` contiguous node
-//! ranges (tiles) and runs one worker thread per tile, each ticking only
-//! its own routers ([`NetworkShard`]), PEs and MPMMU banks. One spin
-//! barrier ([`Phaser`]) per simulated cycle separates the cycles; **the
-//! barrier is the clock edge**: everything a tile does between two
-//! barriers is the work the sequential engine does for the same
-//! components within one `now`, and the only cross-tile traffic is the
-//! boundary link latches, exchanged through per-directed-pair mailboxes.
+//! [`run`] domain-decomposes the torus into `T` contiguous node ranges
+//! (tiles). Each tile owns a shard of the fabric ([`Network::shard`]) and
+//! the PEs and MPMMU banks whose nodes fall inside it, and one function,
+//! [`execute_cycle`], runs a tile's share of a simulated cycle: the same
+//! five phases, in the same order, for every tile count. One function,
+//! [`Clock::decide`], makes the end-of-cycle decision (termination, cycle
+//! limit, watchdog, quiet-cycle fast-forward, deadlock) from the tiles'
+//! reports.
 //!
-//! # Why the result is bit-identical to the sequential engine
+//! `T = min(host_threads, nodes)`, except that the ideal fabric (which
+//! has no shard decomposition) and an injector that cannot be forked per
+//! tile ([`FaultInjector::fork_for_tile`]) run on one tile.
+//!
+//! * **One tile** runs on the calling thread over the whole fabric, with
+//!   the caller's sink, injector and meter: no barrier, no mailboxes, no
+//!   buffering.
+//! * **`T > 1` tiles** run one worker thread each. One spin barrier
+//!   ([`Phaser`]) per simulated cycle separates the cycles; **the barrier
+//!   is the clock edge**: everything a tile does between two barriers is
+//!   the work one tile does for the same components within one `now`, and
+//!   the only cross-tile traffic is the boundary link latches, exchanged
+//!   through per-directed-pair mailboxes.
+//!
+//! # Why the result does not depend on `T`
 //!
 //! * **Flit arbitration does not need cross-tile coordination.** Routers
 //!   break same-age ties by flit uid, and
 //!   [`medea_noc::network::compose_uid`] derives the uid from
 //!   `(cycle, is_bank, node)` — locally computable, globally consistent,
-//!   and ordered exactly like the engine's sequential injection sweep.
+//!   and ordered exactly like a single injection sweep over all nodes.
 //! * **Each input latch has exactly one writer.** A router's `(dir)`
 //!   input is fed only by its unique neighbor on that link, so exporting
 //!   a boundary flit during tile A's tick and importing it into tile B
-//!   before B's next route phase reproduces the sequential two-phase
+//!   before B's next route phase reproduces the whole fabric's two-phase
 //!   (route-all-then-deliver-all) tick exactly. Mailboxes are
 //!   double-buffered by round parity so a fast tile's cycle-`t` exports
 //!   can never be confused with its neighbor's still-pending cycle-`t−1`
 //!   imports.
 //! * **All folds are merged in fixed tile-index order.** Statistics
 //!   (bucket-wise histogram sums), the watchdog fingerprint (wrapping
-//!   sums), the quiet-cycle classification (AND/MIN folds with an
-//!   identity for empty tiles) and the fault-event tail (sorted by
-//!   `(cycle, phase, tile)`) are all order-insensitive or merged in tile
-//!   order, never in thread-completion order.
+//!   sums), the quiet-cycle classification (AND/MIN folds) and the
+//!   fault-event tail (sorted by `(cycle, phase, tile)`) are all
+//!   order-insensitive or merged in tile order, never in thread-completion
+//!   order.
 //! * **One leader makes every global decision.** Tile 0 (on the calling
-//!   thread) replicates the sequential engine's end-of-cycle logic —
-//!   termination, cycle limit, watchdog, quiet-cycle fast-forward /
-//!   deadlock — from per-tile reports, and is the only agent that drains
-//!   the fault injector's link-kill schedule, so the scheduled-fault
-//!   stream is consumed in exactly the sequential order.
+//!   thread) runs [`Clock::decide`] on the folded reports and is the only
+//!   agent that drains the fault injector's link-kill schedule, so the
+//!   scheduled-fault stream is consumed in the same order for every `T`.
 //!
 //! `tests/parallel_equivalence.rs` pins all of this: identical
 //! [`RunResult`]s, error details and trace captures at every thread
-//! count, including the golden paper-4×4 fingerprints.
+//! count, including the golden paper-4×4 fingerprints, and
+//! [`System::run_reference`](crate::system::System::run_reference) stays
+//! the independent oracle.
 
 use crate::config::SystemConfig;
 use crate::system::{
-    banks_quiet, banks_tick, build_banks, build_pes, classify_fold, deadlock_detail,
-    delivered_event, finish_result, progress_fingerprint, quiet_fold, sample_pes_banks,
-    stall_detail, Bank, Kernel, QuietState, RunError, RunResult, FAULT_LOG_CAP,
+    banks_deliver, banks_inject, banks_quiet, banks_tick, build_banks, build_pes, deadlock_detail,
+    delivered_event, finish_result, progress_fingerprint, sample_pes_banks, stall_detail, Bank,
+    Kernel, QuietFold, QuietState, RunError, RunResult, FAULT_LOG_CAP,
 };
 use crate::FabricKind;
 use medea_cache::Addr;
-use medea_fault::FaultInjector;
+use medea_fault::{FaultInjector, FaultStats};
 use medea_metrics::Meter;
 use medea_noc::coord::Dir;
 use medea_noc::flit::{Flit, PacketKind, SubKind};
-use medea_noc::network::NetworkShard;
-use medea_noc::FabricStats;
+use medea_noc::ideal::IdealNetwork;
+use medea_noc::network::Network;
+use medea_noc::{Fabric, FabricStats};
 use medea_pe::pe::ProcessingElement;
 use medea_sim::ids::NodeId;
 use medea_sim::par::Phaser;
@@ -65,52 +80,491 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Run `kernels` on the tiled engine if the configuration selects it,
-/// or hand the kernels back (`Err`) for the sequential path.
-///
-/// The tiled engine engages only when all of these hold:
-///
-/// * `cfg.host_threads() > 1` and at least two tiles fit the torus;
-/// * the fabric is the deflection torus (the ideal fabric is a
-///   contention-free ablation model with no shard decomposition);
-/// * the fault injector can be forked per tile
-///   ([`FaultInjector::fork_for_tile`]).
-pub(crate) fn try_run_tiled<S: TraceSink, I: FaultInjector, M: Meter>(
+/// Run `kernels` to completion on `min(host_threads, nodes)` tiles — one
+/// tile for the ideal fabric or an injector that cannot be forked.
+pub(crate) fn run<S: TraceSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
     kernels: Vec<Kernel>,
     sink: &mut S,
     injector: &mut I,
     meter: &mut M,
-) -> Result<Result<RunResult, RunError>, Vec<Kernel>> {
-    let tiles = cfg.host_threads().min(cfg.topology().nodes());
-    if tiles < 2 || cfg.fabric() != FabricKind::Deflection {
-        return Err(kernels);
+) -> Result<RunResult, RunError> {
+    let topo = cfg.topology();
+    if cfg.fabric() == FabricKind::Ideal {
+        return run_one_tile(cfg, IdealNetwork::new(topo), preload, kernels, sink, injector, meter);
     }
-    let mut forks = Vec::with_capacity(tiles);
-    for _ in 0..tiles {
-        match injector.fork_for_tile() {
-            Some(fork) => forks.push(fork),
-            None => return Err(kernels),
+    let tiles = cfg.host_threads().min(topo.nodes());
+    let forks: Option<Vec<I>> =
+        if tiles > 1 { (0..tiles).map(|_| injector.fork_for_tile()).collect() } else { None };
+    match forks {
+        Some(forks) => {
+            // Workers buffer trace events locally (the caller's sink
+            // cannot be shared across threads); the buffers are replayed
+            // into `sink` after the join, merged in (cycle, tile) order.
+            // The dispatch keeps the untraced instantiation free of
+            // buffering entirely.
+            let (result, trace) = if S::ACTIVE {
+                run_tiles::<BufSink, I, M>(cfg, preload, kernels, injector, forks, meter)
+            } else {
+                run_tiles::<NullSink, I, M>(cfg, preload, kernels, injector, forks, meter)
+            };
+            for (at, event) in trace {
+                sink.record(at, event);
+            }
+            result
+        }
+        None => run_one_tile(cfg, Network::new(topo), preload, kernels, sink, injector, meter),
+    }
+}
+
+/// Everything one tile owns: a contiguous shard of the fabric and the
+/// PEs/banks whose nodes fall inside it (rank→node and bank→node maps are
+/// monotone, so each tile's lists are contiguous runs of the global
+/// rank/bank order).
+struct Tile<F> {
+    index: usize,
+    fabric: F,
+    pes: Vec<ProcessingElement>,
+    banks: Vec<Bank>,
+    /// Global slot offsets of this tile's first PE / bank — the tiles
+    /// partition the monotone rank and bank orders, so tile-local index
+    /// `i` is global slot `base + i`.
+    pe_base: usize,
+    bank_base: usize,
+    /// Per-PE wake schedule: the cycle at which each PE must next be
+    /// ticked. A PE parked in a pure time stall (drained bridge and
+    /// arbiter — see `ProcessingElement::sleep_until`) is skipped
+    /// entirely until its wake cycle; for such a PE a tick is provably a
+    /// no-op and it cannot inject, so skipping is bit-identical to the
+    /// reference engine's tick-everything loop.
+    wake: Vec<Cycle>,
+    ticked: Vec<bool>,
+    live: usize,
+    /// `(cycle, phase, event)` with phase 0 = link kills, 1 = flit
+    /// corruptions, 2 = PE stalls — the within-cycle hook order, so the
+    /// merged log sorted by `(cycle, phase, tile)` is the order one tile
+    /// would have pushed. Capped at [`FAULT_LOG_CAP`] per tile, which is
+    /// provably a superset of the global last-`FAULT_LOG_CAP`.
+    fault_log: VecDeque<(Cycle, u8, TraceEvent)>,
+}
+
+/// Build one tile per fabric shard, tile `i` owning nodes
+/// `starts[i]..starts[i+1]`.
+fn build_tiles<F>(
+    cfg: &SystemConfig,
+    preload: &[(Addr, u32)],
+    kernels: Vec<Kernel>,
+    starts: &[u16],
+    fabrics: Vec<F>,
+) -> Vec<Tile<F>> {
+    let mut banks = build_banks(cfg, preload);
+    let mut pes = build_pes(cfg, kernels);
+    // Both lists are in node order, so each tile's share is the tail that
+    // starts at its first node: split the tiles off from the last one.
+    let mut tiles: Vec<Tile<F>> = fabrics
+        .into_iter()
+        .enumerate()
+        .rev()
+        .map(|(index, fabric)| {
+            let lo = starts[index] as usize;
+            let own_pes = pes.split_off(pes.partition_point(|pe| pe.node().index() < lo));
+            let own_banks = banks.split_off(banks.partition_point(|b| b.node.index() < lo));
+            Tile {
+                index,
+                fabric,
+                pe_base: pes.len(),
+                bank_base: banks.len(),
+                wake: vec![0; own_pes.len()],
+                ticked: vec![false; own_pes.len()],
+                live: own_pes.len(),
+                pes: own_pes,
+                banks: own_banks,
+                fault_log: VecDeque::new(),
+            }
+        })
+        .collect();
+    tiles.reverse();
+    tiles
+}
+
+fn push_fault(log: &mut VecDeque<(Cycle, u8, TraceEvent)>, now: Cycle, phase: u8, ev: TraceEvent) {
+    if log.len() == FAULT_LOG_CAP {
+        log.pop_front();
+    }
+    log.push_back((now, phase, ev));
+}
+
+/// Drain the link kills scheduled at or before `now` into `kills`, as
+/// original `(node, dir)` pairs.
+fn drain_kills<I: FaultInjector>(injector: &mut I, now: Cycle, kills: &mut Vec<(u16, u8)>) {
+    kills.clear();
+    if I::ACTIVE {
+        while let Some(kill) = injector.take_link_kill(now) {
+            kills.push((kill.node, kill.dir & 3));
         }
     }
-    // Workers buffer trace events locally (the caller's sink cannot be
-    // shared across threads); the buffers are replayed into `sink` after
-    // the join, merged in (cycle, tile) order. The dispatch keeps the
-    // untraced instantiation free of buffering entirely.
-    let (result, trace) = if S::ACTIVE {
-        run_tiled::<BufSink, I, M>(cfg, preload, kernels, injector, forks, meter)
-    } else {
-        run_tiled::<NullSink, I, M>(cfg, preload, kernels, injector, forks, meter)
-    };
-    for (at, event) in trace {
-        sink.record(at, event);
+}
+
+/// One tile's share of one simulated cycle.
+///
+/// 1. deliver flits ejected by the fabric to their node interfaces (PEs
+///    first, then every memory bank in bank order);
+/// 2. tick every *runnable* PE and bank;
+/// 3. inject at most one flit per node into the fabric;
+/// 4. tick the fabric.
+///
+/// Before phase 1 come the sampling catch-up and the cycle's scheduled
+/// link kills; phase 5, the end-of-cycle decision, is [`Clock::decide`].
+///
+/// Always inlined, and a one-tile run holds its tile by value, so the
+/// tile lives in the loop's own frame: as an outlined call on a tile
+/// inside a `Vec`, the one-tile loop ran about 5% slower on the 4x4
+/// Jacobi benchmark workload (2-core x86-64 host).
+#[inline(always)]
+fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
+    tile: &mut Tile<F>,
+    now: Cycle,
+    kills: &[(u16, u8)],
+    sink: &mut S,
+    injector: &mut I,
+    meter: &mut M,
+) {
+    // 0a. Sampling catch-up: commit every window whose boundary has
+    // passed. The loop form makes an idle fast-forward jump emit one
+    // window per crossed boundary with frozen state — exactly what
+    // cycle-by-cycle execution would have observed. Every tile sees the
+    // same `now` sequence, so per-tile meter forks commit windows in
+    // lockstep.
+    if M::ACTIVE {
+        while meter.next_sample() <= now {
+            sample_pes_banks(meter, &tile.pes, tile.pe_base, &tile.banks, tile.bank_base);
+            meter.commit_window();
+        }
     }
-    Ok(result)
+
+    // 0b. Scheduled permanent faults, before any traffic moves. Every
+    // tile sees the same kill list and kills the link ends its shard
+    // owns; tile 0 alone logs the event, once.
+    for &(node, dir) in kills {
+        if tile.index == 0 {
+            let event = TraceEvent::FaultLinkKilled { node, dir };
+            if S::ACTIVE {
+                sink.record(now, event);
+            }
+            push_fault(&mut tile.fault_log, now, 0, event);
+        }
+        tile.fabric.kill_link(NodeId::new(node), Dir::ALL[dir as usize]);
+    }
+
+    // 1. Deliver ejections. With the O(1) flit census, a drained fabric
+    // skips the per-node ejection polls outright.
+    if tile.fabric.in_flight() > 0 {
+        for (i, pe) in tile.pes.iter_mut().enumerate() {
+            let node = pe.node();
+            while let Some(mut flit) = tile.fabric.eject(node) {
+                if I::ACTIVE && !flit.kind().is_shared_memory() {
+                    if let Some(bit) = injector.corrupt_flit(now, node.index() as u16) {
+                        flit.corrupt_payload_bit(bit);
+                        let event =
+                            TraceEvent::FaultFlitCorrupted { node: node.index() as u16, bit };
+                        if S::ACTIVE {
+                            sink.record(now, event);
+                        }
+                        push_fault(&mut tile.fault_log, now, 1, event);
+                    }
+                }
+                if S::ACTIVE {
+                    sink.record(now, delivered_event(node, &flit, now));
+                }
+                // A directory probe must wake even a parked or retired PE:
+                // the home bank blocks until it is answered.
+                if flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request {
+                    tile.wake[i] = now;
+                }
+                pe.deliver_traced(flit, now, sink);
+            }
+        }
+    }
+    banks_deliver(&mut tile.fabric, &mut tile.banks, now, sink);
+
+    // 2. Tick runnable components (a bank's tick is a no-op while it is
+    // idle, so it is skipped then too).
+    for (i, pe) in tile.pes.iter_mut().enumerate() {
+        if I::ACTIVE && tile.wake[i] <= now && !pe.is_done() {
+            let stall = injector.pe_stall(now, pe.node().index() as u16);
+            if stall > 0 {
+                tile.wake[i] = now + Cycle::from(stall);
+                let event =
+                    TraceEvent::FaultPeStall { node: pe.node().index() as u16, cycles: stall };
+                if S::ACTIVE {
+                    sink.record(now, event);
+                }
+                push_fault(&mut tile.fault_log, now, 2, event);
+            }
+        }
+        if tile.wake[i] > now {
+            tile.ticked[i] = false;
+            continue;
+        }
+        tile.ticked[i] = true;
+        let was_done = pe.is_done();
+        pe.tick_traced(now, sink);
+        if M::ACTIVE {
+            // Interval attribution: the recorder charges the span since
+            // this PE's previous tick to its previous activity, so skipped
+            // (parked) cycles are charged to the state the PE parked in.
+            meter.pe_state(tile.pe_base + i, now, pe.activity());
+        }
+        if !was_done && pe.is_done() {
+            tile.live -= 1;
+        }
+        tile.wake[i] = match pe.sleep_until() {
+            Some(t) => t.max(now + 1),
+            None => now + 1,
+        };
+    }
+    banks_tick(&mut tile.banks, now, true, sink, injector);
+
+    // 3. Inject (one flit per node per cycle). A skipped PE has a drained
+    // arbiter by construction, so only ticked PEs can have traffic to
+    // offer. The composite uid the fabric stamps keeps arbitration
+    // independent of how the nodes are split into tiles.
+    for (i, pe) in tile.pes.iter_mut().enumerate() {
+        if !tile.ticked[i] {
+            continue;
+        }
+        if let Some(flit) = pe.select_inject() {
+            let kind = flit.kind().code();
+            match tile.fabric.try_inject_tagged(pe.node(), flit, now, false) {
+                Ok(()) => {
+                    if S::ACTIVE {
+                        let node = pe.node().index() as u16;
+                        sink.record(now, TraceEvent::FlitInjected { node, kind });
+                    }
+                }
+                Err(back) => pe.restore_inject(back),
+            }
+        }
+    }
+    banks_inject(&mut tile.fabric, &mut tile.banks, now, sink);
+
+    // 4. Fabric (activity-scheduled internally; a drained fabric ticks in
+    // constant time). A shard's boundary latches become exports.
+    tile.fabric.tick_metered(now, sink, meter);
+}
+
+impl<F: Fabric> Tile<F> {
+    /// What the end-of-cycle decision needs from this tile, with
+    /// `exported` boundary flits already handed to neighbor tiles.
+    fn report(&self, now: Cycle, exported: usize, watchdog: bool) -> TileReport {
+        let in_flight = self.fabric.in_flight() + exported;
+        let (fingerprint, timed_stall) = if watchdog {
+            (
+                progress_fingerprint(&self.pes, &self.banks),
+                self.pes.iter().zip(&self.wake).any(|(pe, &w)| !pe.is_done() && w > now + 1),
+            )
+        } else {
+            (0, false)
+        };
+        let quiet = (in_flight == 0 && banks_quiet(&self.banks)).then(|| QuietFold::of(&self.pes));
+        TileReport { live: self.live, in_flight, fingerprint, timed_stall, quiet }
+    }
+
+    /// Final snapshot of the tile's own components, then close the
+    /// attribution spans and the partial last window at `at` — the same
+    /// end cycle every tile uses, so meter forks stay in window lockstep.
+    fn finish_meter<M: Meter>(&self, meter: &mut M, at: Cycle) {
+        if M::ACTIVE {
+            sample_pes_banks(meter, &self.pes, self.pe_base, &self.banks, self.bank_base);
+            meter.finish(at);
+        }
+    }
+}
+
+/// What a tile publishes at the end of a cycle; merged over tiles it is
+/// the whole system's report.
+#[derive(Clone, Default)]
+struct TileReport {
+    live: usize,
+    /// Flits in the tile's fabric plus the boundary flits it exported.
+    in_flight: usize,
+    /// The tile's share of the watchdog's progress fingerprint.
+    fingerprint: u64,
+    /// Some live PE is parked in a multi-cycle timed stall.
+    timed_stall: bool,
+    /// The [`QuietFold`] of the tile's PEs — `Some` exactly when the tile
+    /// is drained (no flit in flight, every bank quiet), so the merged
+    /// report is `Some` exactly when the whole system is.
+    quiet: Option<QuietFold>,
+}
+
+impl TileReport {
+    fn merge(mut self, other: TileReport) -> TileReport {
+        self.live += other.live;
+        self.in_flight += other.in_flight;
+        self.fingerprint = self.fingerprint.wrapping_add(other.fingerprint);
+        self.timed_stall |= other.timed_stall;
+        self.quiet = self.quiet.zip(other.quiet).map(|(a, b)| a.merge(b));
+        self
+    }
+}
+
+/// Why the run stopped at the cycle it stopped at (the `RunError` details
+/// are assembled once every tile's PEs and banks are back in hand).
+enum StopCause {
+    Done,
+    CycleLimit { in_flight: usize },
+    Watchdog { in_flight: usize },
+    Deadlock,
+}
+
+/// The end-of-cycle decision and the cross-cycle state it keeps.
+struct Clock {
+    limit: Cycle,
+    /// Progress watchdog window (off at 0).
+    watchdog: Cycle,
+    last_fingerprint: u64,
+    last_progress_at: Cycle,
+}
+
+impl Clock {
+    fn new(cfg: &SystemConfig) -> Self {
+        Clock {
+            limit: cfg.cycle_limit(),
+            watchdog: cfg.resilience().watchdog_cycles,
+            last_fingerprint: 0,
+            last_progress_at: 0,
+        }
+    }
+
+    /// The cycle to simulate after `now`, or why the run stops at `now`:
+    /// termination, cycle limit, watchdog, then the quiet-cycle
+    /// fast-forward or deadlock verdict, in that order.
+    fn decide(&mut self, now: Cycle, report: &TileReport) -> Result<Cycle, StopCause> {
+        if report.live == 0 {
+            return Err(StopCause::Done);
+        }
+        if now >= self.limit {
+            return Err(StopCause::CycleLimit { in_flight: report.in_flight });
+        }
+        if self.watchdog > 0 {
+            if report.fingerprint != self.last_fingerprint {
+                self.last_fingerprint = report.fingerprint;
+                self.last_progress_at = now;
+            } else if report.timed_stall {
+                // A PE parked in a multi-cycle timed stall (a long
+                // `compute`, a bridge backoff) is healthy, not hung — it
+                // will produce work when it wakes, even though another PE
+                // polling every cycle keeps the fast-forward jump (which
+                // would reset the window) from engaging. A livelock has
+                // every live PE spinning at wake = now + 1, so this never
+                // masks one.
+                self.last_progress_at = now;
+            } else if now - self.last_progress_at >= self.watchdog {
+                return Err(StopCause::Watchdog { in_flight: report.in_flight });
+            }
+        }
+        if let Some(quiet) = report.quiet {
+            match quiet.classify() {
+                QuietState::AllTimed { min_wake } => {
+                    // Never skip past the cycle limit: the limit check
+                    // must still observe the overrun.
+                    let t = min_wake.min(self.limit);
+                    if t > now + 1 {
+                        // The jump is legitimate forward progress (every
+                        // PE is provably in a timed stall), so it must not
+                        // age the watchdog window.
+                        self.last_progress_at = t;
+                        return Ok(t);
+                    }
+                }
+                QuietState::Deadlocked => return Err(StopCause::Deadlock),
+                QuietState::Mixed => {}
+            }
+        }
+        Ok(now + 1)
+    }
+}
+
+/// Reassemble global state from the tiles, in tile-index order — which
+/// *is* rank order for PEs and bank order for banks, because both maps are
+/// monotone in the node index the tiles partition — and turn the stop
+/// cause at cycle `at` into the run's outcome.
+fn conclude<F: Fabric>(
+    cfg: &SystemConfig,
+    at: Cycle,
+    cause: StopCause,
+    tiles: Vec<Tile<F>>,
+    fault: FaultStats,
+    wall_start: Instant,
+) -> Result<RunResult, RunError> {
+    let mut pes: Vec<ProcessingElement> = Vec::new();
+    let mut banks: Vec<Bank> = Vec::new();
+    let mut fstats = FabricStats::default();
+    let mut log_entries: Vec<(Cycle, u8, usize, usize, TraceEvent)> = Vec::new();
+    for tile in tiles {
+        fstats.merge(tile.fabric.stats());
+        for (seq, &(cycle, phase, event)) in tile.fault_log.iter().enumerate() {
+            log_entries.push((cycle, phase, tile.index, seq, event));
+        }
+        pes.extend(tile.pes);
+        banks.extend(tile.banks);
+    }
+    log_entries.sort_by_key(|&(cycle, phase, ti, seq, _)| (cycle, phase, ti, seq));
+    let fault_log: VecDeque<(Cycle, TraceEvent)> = log_entries
+        .iter()
+        .skip(log_entries.len().saturating_sub(FAULT_LOG_CAP))
+        .map(|&(cycle, _, _, _, event)| (cycle, event))
+        .collect();
+    match cause {
+        StopCause::Done => Ok(finish_result(at, &pes, &fstats, &banks, wall_start, fault)),
+        StopCause::CycleLimit { in_flight } => Err(RunError::CycleLimit {
+            limit: cfg.cycle_limit(),
+            detail: stall_detail(&pes, &banks, in_flight, &fault_log),
+        }),
+        StopCause::Watchdog { in_flight } => Err(RunError::Watchdog {
+            at,
+            detail: stall_detail(&pes, &banks, in_flight, &fault_log),
+        }),
+        StopCause::Deadlock => Err(RunError::Deadlock { at, detail: deadlock_detail(&pes) }),
+    }
+}
+
+/// The one-tile run, on the calling thread: the caller's sink, injector
+/// and meter are used directly.
+fn run_one_tile<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
+    cfg: &SystemConfig,
+    fabric: F,
+    preload: &[(Addr, u32)],
+    kernels: Vec<Kernel>,
+    sink: &mut S,
+    injector: &mut I,
+    meter: &mut M,
+) -> Result<RunResult, RunError> {
+    let nodes = cfg.topology().nodes() as u16;
+    let mut tile = build_tiles(cfg, preload, kernels, &[0, nodes], vec![fabric])
+        .pop()
+        .expect("one fabric builds one tile");
+    let wall_start = Instant::now();
+    let watchdog = cfg.resilience().watchdog_cycles > 0;
+    let mut clock = Clock::new(cfg);
+    let mut kills = Vec::new();
+    let mut now: Cycle = 0;
+    let cause = loop {
+        drain_kills(injector, now, &mut kills);
+        execute_cycle(&mut tile, now, &kills, sink, injector, meter);
+        match clock.decide(now, &tile.report(now, 0, watchdog)) {
+            Ok(next) => now = next,
+            Err(cause) => break cause,
+        }
+    };
+    tile.finish_meter(meter, now);
+    conclude(cfg, now, cause, vec![tile], injector.stats(), wall_start)
 }
 
 /// A tile-local trace sink that can surrender its buffered events.
-trait WorkerSink: TraceSink {
+trait WorkerSink: TraceSink + Send {
     /// A fresh, empty sink.
     fn fresh() -> Self;
     /// The `(cycle, event)` stream recorded so far, cycles nondecreasing.
@@ -126,7 +580,7 @@ impl WorkerSink for NullSink {
     }
 }
 
-/// Unbounded in-order event buffer for traced tiled runs.
+/// Unbounded in-order event buffer for traced multi-tile runs.
 struct BufSink(Vec<(Cycle, TraceEvent)>);
 
 impl TraceSink for BufSink {
@@ -145,87 +599,32 @@ impl WorkerSink for BufSink {
     }
 }
 
-/// Everything one worker owns: a contiguous shard of the fabric and the
-/// PEs/banks whose nodes fall inside it (rank→node and bank→node maps are
-/// monotone, so each tile's lists are contiguous runs of the global
-/// rank/bank order).
-struct Tile<I, M> {
-    index: usize,
-    shard: NetworkShard,
-    pes: Vec<ProcessingElement>,
-    banks: Vec<Bank>,
+/// One worker thread's state in a multi-tile run: its tile plus its own
+/// injector fork, meter fork and trace buffer.
+struct Worker<LS, I, M> {
+    tile: Tile<Network>,
+    /// Answers every stateless fault hook like the caller's injector; its
+    /// stats merge back after the join.
     injector: I,
-    /// This tile's full-size meter fork: it writes only the slots of the
+    /// A full-size meter fork: it writes only the slots of the
     /// components the tile owns, so absorbing the forks in tile-index
-    /// order element-wise-sums to the sequential recording.
+    /// order element-wise-sums to a one-tile recording.
     meter: M,
-    /// Global slot offsets of this tile's first PE / bank — the tiles
-    /// partition the monotone rank and bank orders, so tile-local index
-    /// `i` is global slot `base + i`.
-    pe_base: usize,
-    bank_base: usize,
-    wake: Vec<Cycle>,
-    ticked: Vec<bool>,
-    live: usize,
-    /// `(cycle, phase, event)` with phase 0 = link kills, 1 = flit
-    /// corruptions, 2 = PE stalls — the sequential engine's within-cycle
-    /// hook order, so the merged log sorted by `(cycle, phase, tile)` is
-    /// the sequential push order. Capped at [`FAULT_LOG_CAP`] per tile,
-    /// which is provably a superset of the global last-`FAULT_LOG_CAP`.
-    fault_log: VecDeque<(Cycle, u8, TraceEvent)>,
-    trace: Vec<(Cycle, TraceEvent)>,
-}
-
-fn push_tile_fault(
-    log: &mut VecDeque<(Cycle, u8, TraceEvent)>,
-    now: Cycle,
-    phase: u8,
-    event: TraceEvent,
-) {
-    if log.len() == FAULT_LOG_CAP {
-        log.pop_front();
-    }
-    log.push_back((now, phase, event));
+    sink: LS,
 }
 
 /// One boundary flit in transit: `(destination router, input direction,
-/// flit)`, exactly the triple `NetworkShard::import` consumes.
+/// flit)`, exactly the triple [`Network::import`] consumes.
 type BoundaryFlit = (u16, u8, Flit);
-
-/// What a tile publishes at the barrier, for the leader's serial section.
-#[derive(Clone, Default)]
-struct TileReport {
-    live: usize,
-    in_flight: usize,
-    exported: usize,
-    banks_quiet: bool,
-    fp_partial: u64,
-    wake_guard: bool,
-    /// The tile's [`quiet_fold`] partial — `Some` exactly when the tile
-    /// is locally drained, which all tiles are whenever the system is
-    /// globally quiet (the only time the leader reads it).
-    quiet: Option<(bool, Option<Cycle>, bool)>,
-}
 
 /// The leader's verdict for the next round.
 #[derive(Clone)]
 enum Decision {
-    /// Simulate cycle `now`; apply `kills` (original `(node, dir)` pairs
-    /// drained from the injector schedule) before any traffic moves.
+    /// Simulate cycle `now`; apply `kills` before any traffic moves.
     Go { now: Cycle, kills: Vec<(u16, u8)> },
-    /// The run is over as of cycle `at`; workers flush their meters
-    /// (final snapshot + [`Meter::finish`]) and exit without running
-    /// another cycle.
+    /// The run is over as of cycle `at`; workers flush their meters and
+    /// exit without running another cycle.
     Stop { at: Cycle },
-}
-
-/// Why the leader stopped the run (details are assembled post-join, when
-/// the main thread has every tile's PEs/banks/fault log back in hand).
-enum StopCause {
-    Done { at: Cycle },
-    CycleLimit { in_flight: usize },
-    Watchdog { at: Cycle, in_flight: usize },
-    Deadlock { at: Cycle },
 }
 
 /// Cross-thread coordination state, shared by reference into the scope.
@@ -241,6 +640,7 @@ struct Shared {
     mailboxes: [Vec<Mutex<Vec<BoundaryFlit>>>; 2],
     /// Tile boundaries: tile `i` owns nodes `starts[i]..starts[i+1]`.
     starts: Vec<u16>,
+    watchdog: bool,
     /// First panic payload from any worker; rethrown after the join.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
@@ -269,7 +669,51 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
+/// One worker's round: import last round's boundary flits, run the
+/// tile's cycle, export this round's boundary flits, publish the report.
+fn step<LS: WorkerSink, I: FaultInjector, M: Meter>(
+    worker: &mut Worker<LS, I, M>,
+    shared: &Shared,
+    now: Cycle,
+    kills: &[(u16, u8)],
+    round: u64,
+) {
+    let tiles = shared.tiles();
+    let index = worker.tile.index;
+    let cur = (round & 1) as usize;
+    let prev = cur ^ 1;
+    // Import before the cycle's phases: input latches are untouched until
+    // the route phase at the end of the cycle, so importing here is
+    // exactly the whole fabric's phase-2 delivery. Fixed from-tile order
+    // keeps the walk deterministic; the final latch state is
+    // order-independent anyway (one writer per (router, dir) input).
+    for from in 0..tiles {
+        let mut inbox = lock(&shared.mailboxes[prev][from * tiles + index]);
+        for (to, from_dir, flit) in inbox.drain(..) {
+            worker.tile.fabric.import(to, from_dir, flit);
+        }
+    }
+    execute_cycle(
+        &mut worker.tile,
+        now,
+        kills,
+        &mut worker.sink,
+        &mut worker.injector,
+        &mut worker.meter,
+    );
+    let mut exported = 0;
+    for (to, from_dir, flit) in worker.tile.fabric.take_exports() {
+        let dest = shared.tile_of(to as usize);
+        lock(&shared.mailboxes[cur][index * tiles + dest]).push((to, from_dir, flit));
+        exported += 1;
+    }
+    *lock(&shared.reports[index]) = worker.tile.report(now, exported, shared.watchdog);
+}
+
+/// The multi-tile run: tile 0 leads on the calling thread, every other
+/// tile follows on a scoped worker thread. Returns the outcome and the
+/// merged trace stream.
+fn run_tiles<LS: WorkerSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
     kernels: Vec<Kernel>,
@@ -280,163 +724,141 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     let topo = cfg.topology();
     let tiles = forks.len();
     let starts = tile_starts(cfg, tiles);
-
-    let banks_all = build_banks(cfg, preload);
-    let pes_all = build_pes(cfg, kernels);
+    let shards = (0..tiles)
+        .map(|i| Network::shard(topo, starts[i] as usize, starts[i + 1] as usize))
+        .collect();
+    let mut workers: Vec<Worker<LS, I, M>> = build_tiles(cfg, preload, kernels, &starts, shards)
+        .into_iter()
+        .zip(forks)
+        .map(|(tile, injector)| Worker { tile, injector, meter: meter.fork(), sink: LS::fresh() })
+        .collect();
     let wall_start = Instant::now();
 
-    let mut tile_vec: Vec<Tile<I, M>> = forks
-        .into_iter()
-        .enumerate()
-        .map(|(i, fork)| Tile {
-            index: i,
-            shard: NetworkShard::new(topo, starts[i] as usize, starts[i + 1] as usize),
-            pes: Vec::new(),
-            banks: Vec::new(),
-            injector: fork,
-            meter: meter.fork(),
-            pe_base: 0,
-            bank_base: 0,
-            wake: Vec::new(),
-            ticked: Vec::new(),
-            live: 0,
-            fault_log: VecDeque::new(),
-            trace: Vec::new(),
-        })
-        .collect();
-    let tile_of = |node: usize| starts.partition_point(|&s| (s as usize) <= node) - 1;
-    for pe in pes_all {
-        let t = tile_of(pe.node().index());
-        tile_vec[t].pes.push(pe);
-    }
-    for bank in banks_all {
-        let t = tile_of(bank.node.index());
-        tile_vec[t].banks.push(bank);
-    }
-    let (mut pe_base, mut bank_base) = (0usize, 0usize);
-    for tile in &mut tile_vec {
-        tile.pe_base = pe_base;
-        pe_base += tile.pes.len();
-        tile.bank_base = bank_base;
-        bank_base += tile.banks.len();
-        tile.wake = vec![0; tile.pes.len()];
-        tile.ticked = vec![false; tile.pes.len()];
-        tile.live = tile.pes.len();
-    }
-
-    // Cycle 0's scheduled kills, drained exactly like the sequential
-    // engine's top-of-loop drain.
+    // Cycle 0's scheduled kills, drained like every later cycle's.
     let mut kills = Vec::new();
-    if I::ACTIVE {
-        while let Some(kill) = injector.take_link_kill(0) {
-            kills.push((kill.node, kill.dir & 3));
-        }
-    }
+    drain_kills(injector, 0, &mut kills);
     let boxes = || (0..tiles * tiles).map(|_| Mutex::new(Vec::new())).collect::<Vec<_>>();
     let shared = Shared {
         phaser: Phaser::new(tiles),
-        decision: Mutex::new(Decision::Go { now: 0, kills }),
+        decision: Mutex::new(Decision::Go { now: 0, kills: kills.clone() }),
         reports: (0..tiles).map(|_| Mutex::new(TileReport::default())).collect(),
         mailboxes: [boxes(), boxes()],
         starts,
+        watchdog: cfg.resilience().watchdog_cycles > 0,
         panic: Mutex::new(None),
     };
 
-    let mut tile_iter = tile_vec.into_iter();
-    let mut leader_tile = tile_iter.next().expect("tiles >= 2");
-    let followers: Vec<Tile<I, M>> = tile_iter.collect();
-
-    let mut cause: Option<StopCause> = None;
-    let mut joined: Vec<Tile<I, M>> = Vec::with_capacity(tiles - 1);
+    let mut stop: Option<(Cycle, StopCause)> = None;
     std::thread::scope(|scope| {
         let shared = &shared;
-        let handles: Vec<_> = followers
-            .into_iter()
-            .map(|mut tile| {
+        let mut rest = workers.iter_mut();
+        let leader = rest.next().expect("tiles >= 2");
+        let handles: Vec<_> = rest
+            .map(|worker| {
                 scope.spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        follower_loop::<LS, I, M>(&mut tile, shared, cfg);
-                    }));
+                    let outcome = catch_unwind(AssertUnwindSafe(|| follower_loop(worker, shared)));
                     if let Err(payload) = outcome {
                         shared.store_panic(payload);
                     }
-                    tile
                 })
             })
             .collect();
-
-        let leader_outcome = catch_unwind(AssertUnwindSafe(|| {
-            leader_loop::<LS, I, M>(&mut leader_tile, shared, cfg, injector)
-        }));
-        match leader_outcome {
-            Ok(stop) => cause = stop,
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| leader_loop(leader, shared, cfg, injector, kills)));
+        match outcome {
+            Ok(s) => stop = s,
             Err(payload) => shared.store_panic(payload),
         }
-
         for handle in handles {
-            match handle.join() {
-                Ok(tile) => joined.push(tile),
-                Err(payload) => shared.store_panic(payload),
+            if let Err(payload) = handle.join() {
+                shared.store_panic(payload);
             }
         }
     });
     if let Some(payload) = lock(&shared.panic).take() {
         resume_unwind(payload);
     }
+    let (at, cause) = stop.expect("tiled engine stopped without a cause or a panic");
 
-    // Reassemble global state in tile-index order — which *is* rank order
-    // for PEs and bank order for banks, because both maps are monotone in
-    // the node index the tiles partition.
-    let mut all_tiles = Vec::with_capacity(tiles);
-    all_tiles.push(leader_tile);
-    all_tiles.extend(joined);
-
-    let mut pes: Vec<ProcessingElement> = Vec::new();
-    let mut banks: Vec<Bank> = Vec::new();
-    let mut fstats = FabricStats::default();
     let mut fault = injector.stats();
-    let mut log_entries: Vec<(Cycle, u8, usize, usize, TraceEvent)> = Vec::new();
-    let mut traces: Vec<Vec<(Cycle, TraceEvent)>> = Vec::new();
-    let mut meter_parts: Vec<M> = Vec::with_capacity(tiles);
-    for (ti, tile) in all_tiles.into_iter().enumerate() {
-        fstats.merge(tile.shard.stats());
-        fault.merge(&tile.injector.stats());
-        for (seq, &(cycle, phase, event)) in tile.fault_log.iter().enumerate() {
-            log_entries.push((cycle, phase, ti, seq, event));
-        }
-        pes.extend(tile.pes);
-        banks.extend(tile.banks);
-        traces.push(tile.trace);
-        meter_parts.push(tile.meter);
+    let mut meters = Vec::with_capacity(tiles);
+    let mut traces = Vec::with_capacity(tiles);
+    let mut tile_vec = Vec::with_capacity(tiles);
+    for worker in workers {
+        fault.merge(&worker.injector.stats());
+        meters.push(worker.meter);
+        traces.push(worker.sink.into_events());
+        tile_vec.push(worker.tile);
     }
-    // Merge the per-tile meter forks back in tile-index order: every
-    // series slot has exactly one writer, so the element-wise sum is
-    // bit-identical to sequential recording. The forks already flushed
-    // (sampled + finished) at the stop decision; the caller must NOT
-    // finish again.
-    meter.absorb(meter_parts);
-    log_entries.sort_by_key(|&(cycle, phase, ti, seq, _)| (cycle, phase, ti, seq));
-    let fault_log: VecDeque<(Cycle, TraceEvent)> = log_entries
-        .iter()
-        .skip(log_entries.len().saturating_sub(FAULT_LOG_CAP))
-        .map(|&(cycle, _, _, _, event)| (cycle, event))
-        .collect();
-    let trace = merge_traces(traces);
+    // Every series slot has exactly one writer, so the element-wise sum
+    // of the forks (already flushed at the stop decision) is bit-identical
+    // to a one-tile recording; the caller must NOT finish again.
+    meter.absorb(meters);
+    (conclude(cfg, at, cause, tile_vec, fault, wall_start), merge_traces(traces))
+}
 
-    let limit = cfg.cycle_limit();
-    let result = match cause.expect("tiled engine stopped without a cause or a panic") {
-        StopCause::Done { at } => Ok(finish_result(at, &pes, &fstats, &banks, wall_start, fault)),
-        StopCause::CycleLimit { in_flight } => Err(RunError::CycleLimit {
-            limit,
-            detail: stall_detail(&pes, &banks, in_flight, &fault_log),
-        }),
-        StopCause::Watchdog { at, in_flight } => Err(RunError::Watchdog {
-            at,
-            detail: stall_detail(&pes, &banks, in_flight, &fault_log),
-        }),
-        StopCause::Deadlock { at } => Err(RunError::Deadlock { at, detail: deadlock_detail(&pes) }),
-    };
-    (result, trace)
+fn follower_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
+    worker: &mut Worker<LS, I, M>,
+    shared: &Shared,
+) {
+    let mut round = shared.phaser.generation();
+    loop {
+        let decision = lock(&shared.decision).clone();
+        match decision {
+            Decision::Go { now, kills } => step(worker, shared, now, &kills, round),
+            Decision::Stop { at } => {
+                worker.tile.finish_meter(&mut worker.meter, at);
+                return;
+            }
+        }
+        if !shared.phaser.arrive_and_wait(round) {
+            return;
+        }
+        round += 1;
+    }
+}
+
+/// Tile 0's loop: run the tile's round, wait for the followers, fold the
+/// reports in tile order, decide, and drain the next cycle's link kills
+/// from the caller's injector. `None` means a follower panicked.
+fn leader_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
+    worker: &mut Worker<LS, I, M>,
+    shared: &Shared,
+    cfg: &SystemConfig,
+    injector: &mut I,
+    mut kills: Vec<(u16, u8)>,
+) -> Option<(Cycle, StopCause)> {
+    let mut clock = Clock::new(cfg);
+    let mut round = shared.phaser.generation();
+    let mut now: Cycle = 0;
+    loop {
+        step(worker, shared, now, &kills, round);
+        if !shared.phaser.wait_followers() {
+            return None;
+        }
+        let report = shared
+            .reports
+            .iter()
+            .map(|r| lock(r).clone())
+            .reduce(TileReport::merge)
+            .expect("tiles >= 2");
+        let next = match clock.decide(now, &report) {
+            Ok(next) => {
+                now = next;
+                drain_kills(injector, now, &mut kills);
+                Decision::Go { now, kills: kills.clone() }
+            }
+            Err(cause) => {
+                *lock(&shared.decision) = Decision::Stop { at: now };
+                shared.phaser.release();
+                worker.tile.finish_meter(&mut worker.meter, now);
+                return Some((now, cause));
+            }
+        };
+        *lock(&shared.decision) = next;
+        shared.phaser.release();
+        round += 1;
+    }
 }
 
 /// Per-cycle cost weight of a node hosting a PE or an MPMMU bank,
@@ -460,7 +882,7 @@ const ROUTER_WEIGHT: u64 = 1;
 /// by `tests/parallel_equivalence.rs`).
 fn tile_starts(cfg: &SystemConfig, tiles: usize) -> Vec<u16> {
     let nodes = cfg.topology().nodes();
-    debug_assert!(2 <= tiles && tiles <= nodes);
+    debug_assert!(1 <= tiles && tiles <= nodes);
     let plan = cfg.node_plan();
     let weight = |node: usize| -> u64 {
         let id = NodeId::new(node as u16);
@@ -492,9 +914,9 @@ fn tile_starts(cfg: &SystemConfig, tiles: usize) -> Vec<u16> {
 
 /// Merge per-tile trace buffers into one deterministic stream: cycles
 /// ascending, ties broken by tile index, each tile's within-cycle order
-/// preserved. (Within a cycle the sequential engine interleaves
-/// components phase-major, so cross-engine comparisons are per-cycle
-/// multiset equality — see `tests/parallel_equivalence.rs`.)
+/// preserved. (Within a cycle a one-tile run interleaves components
+/// phase-major, so comparisons across tile counts are per-cycle multiset
+/// equality — see `tests/parallel_equivalence.rs`.)
 fn merge_traces(per_tile: Vec<Vec<(Cycle, TraceEvent)>>) -> Vec<(Cycle, TraceEvent)> {
     let mut out = Vec::with_capacity(per_tile.iter().map(Vec::len).sum());
     let mut heads = vec![0usize; per_tile.len()];
@@ -517,398 +939,6 @@ fn merge_traces(per_tile: Vec<Vec<(Cycle, TraceEvent)>>) -> Vec<(Cycle, TraceEve
         }
     }
     out
-}
-
-fn follower_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    tile: &mut Tile<I, M>,
-    shared: &Shared,
-    cfg: &SystemConfig,
-) {
-    let mut sink = LS::fresh();
-    let mut gen = shared.phaser.generation();
-    loop {
-        let decision = lock(&shared.decision).clone();
-        let (now, kills) = match decision {
-            Decision::Go { now, kills } => (now, kills),
-            Decision::Stop { at } => {
-                finish_tile_meter(tile, at);
-                break;
-            }
-        };
-        execute_cycle(tile, shared, cfg, now, &kills, gen, &mut sink);
-        if !shared.phaser.arrive_and_wait(gen) {
-            break;
-        }
-        gen += 1;
-    }
-    tile.trace = sink.into_events();
-}
-
-/// Flush one tile's meter at the stop decision: final snapshot of the
-/// tile's own components, then close the attribution spans and the
-/// partial last window at `at` — the same end cycle every tile uses, so
-/// the forks stay in window lockstep for the absorb.
-fn finish_tile_meter<I, M: Meter>(tile: &mut Tile<I, M>, at: Cycle) {
-    if M::ACTIVE {
-        sample_pes_banks(&mut tile.meter, &tile.pes, tile.pe_base, &tile.banks, tile.bank_base);
-        tile.meter.finish(at);
-    }
-}
-
-fn leader_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    tile: &mut Tile<I, M>,
-    shared: &Shared,
-    cfg: &SystemConfig,
-    injector: &mut I,
-) -> Option<StopCause> {
-    let watchdog = cfg.resilience().watchdog_cycles;
-    let limit = cfg.cycle_limit();
-    let mut sink = LS::fresh();
-    let mut gen = shared.phaser.generation();
-    // The leader owns the sequential engine's cross-cycle decision state.
-    let mut last_fingerprint: u64 = 0;
-    let mut last_progress_at: Cycle = 0;
-    let mut cause: Option<StopCause> = None;
-    loop {
-        let decision = lock(&shared.decision).clone();
-        let (now, kills) = match decision {
-            Decision::Go { now, kills } => (now, kills),
-            Decision::Stop { at } => {
-                finish_tile_meter(tile, at);
-                break;
-            }
-        };
-        execute_cycle(tile, shared, cfg, now, &kills, gen, &mut sink);
-        if !shared.phaser.wait_followers() {
-            break;
-        }
-
-        // Serial section: replicate the sequential engine's end-of-cycle
-        // decisions, in its exact order, from the folded tile reports.
-        let mut live = 0usize;
-        let mut in_flight = 0usize;
-        let mut all_banks_quiet = true;
-        let mut fp = 0u64;
-        let mut wake_guard = false;
-        let mut fold = (true, None::<Cycle>, true);
-        for report in &shared.reports {
-            let r = lock(report).clone();
-            live += r.live;
-            in_flight += r.in_flight + r.exported;
-            all_banks_quiet &= r.banks_quiet;
-            fp = fp.wrapping_add(r.fp_partial);
-            wake_guard |= r.wake_guard;
-            if let Some((timed, min_wake, recv_blocked)) = r.quiet {
-                fold.0 &= timed;
-                fold.1 = match (fold.1, min_wake) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                fold.2 &= recv_blocked;
-            }
-        }
-
-        let next = if live == 0 {
-            cause = Some(StopCause::Done { at: now });
-            Decision::Stop { at: now }
-        } else if now >= limit {
-            cause = Some(StopCause::CycleLimit { in_flight });
-            Decision::Stop { at: now }
-        } else {
-            let mut stalled = false;
-            if watchdog > 0 {
-                if fp != last_fingerprint {
-                    last_fingerprint = fp;
-                    last_progress_at = now;
-                } else if wake_guard {
-                    // Same healthy-timed-stall carve-out as the
-                    // sequential engine's watchdog.
-                    last_progress_at = now;
-                } else if now - last_progress_at >= watchdog {
-                    cause = Some(StopCause::Watchdog { at: now, in_flight });
-                    stalled = true;
-                }
-            }
-            if stalled {
-                Decision::Stop { at: now }
-            } else {
-                let mut next_now = now + 1;
-                let mut deadlocked = false;
-                if in_flight == 0 && all_banks_quiet {
-                    match classify_fold(fold.0, fold.1, fold.2) {
-                        QuietState::AllTimed { min_wake } => {
-                            let t = min_wake.min(limit);
-                            if t > now + 1 {
-                                last_progress_at = t;
-                                next_now = t;
-                            }
-                        }
-                        QuietState::Deadlocked => {
-                            cause = Some(StopCause::Deadlock { at: now });
-                            deadlocked = true;
-                        }
-                        QuietState::Mixed => {}
-                    }
-                }
-                if deadlocked {
-                    Decision::Stop { at: now }
-                } else {
-                    let mut kills = Vec::new();
-                    if I::ACTIVE {
-                        while let Some(kill) = injector.take_link_kill(next_now) {
-                            kills.push((kill.node, kill.dir & 3));
-                        }
-                    }
-                    Decision::Go { now: next_now, kills }
-                }
-            }
-        };
-        *lock(&shared.decision) = next;
-        shared.phaser.release();
-        gen += 1;
-    }
-    tile.trace = sink.into_events();
-    cause
-}
-
-/// One tile's share of one simulated cycle — the same phases, in the same
-/// order, as one iteration of the sequential engine's loop, restricted to
-/// the tile's components.
-fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    tile: &mut Tile<I, M>,
-    shared: &Shared,
-    cfg: &SystemConfig,
-    now: Cycle,
-    kills: &[(u16, u8)],
-    round: u64,
-    sink: &mut LS,
-) {
-    let tiles = shared.tiles();
-    let topo = cfg.topology();
-    let cur = (round & 1) as usize;
-    let prev = cur ^ 1;
-
-    // Sampling catch-up, as at the top of the sequential loop. Every tile
-    // sees the same `now` sequence, so the forks commit windows in
-    // lockstep; sampling before the boundary import is equivalent to
-    // after it (imports only touch router input latches, which no sampled
-    // quantity reads).
-    if M::ACTIVE {
-        while tile.meter.next_sample() <= now {
-            sample_pes_banks(&mut tile.meter, &tile.pes, tile.pe_base, &tile.banks, tile.bank_base);
-            tile.meter.commit_window();
-        }
-    }
-
-    // 0a. Import boundary flits the neighbors' phase 2 latched last
-    // cycle. Input latches are untouched until the route phase at the end
-    // of this cycle, so importing here is exactly the sequential phase-2
-    // delivery. Fixed from-tile order keeps the walk deterministic; the
-    // final latch state is order-independent anyway (one writer per
-    // (router, dir) input).
-    for from in 0..tiles {
-        let mut inbox = lock(&shared.mailboxes[prev][from * tiles + tile.index]);
-        for (to, from_dir, flit) in inbox.drain(..) {
-            tile.shard.import(to, from_dir, flit);
-        }
-    }
-
-    // 0b. Scheduled permanent faults. Every tile sees the same kill list;
-    // each applies the endpoints it owns (a dead link has a router on
-    // each side, possibly in different tiles), and the leader alone logs
-    // the event, once, like the sequential engine.
-    for &(node, dir) in kills {
-        if tile.index == 0 {
-            let event = TraceEvent::FaultLinkKilled { node, dir };
-            if LS::ACTIVE {
-                sink.record(now, event);
-            }
-            push_tile_fault(&mut tile.fault_log, now, 0, event);
-        }
-        let nid = NodeId::new(node);
-        let d = Dir::ALL[dir as usize & 3];
-        if tile.shard.owns(node as usize) {
-            tile.shard.kill_link_local(nid, d);
-        }
-        let neighbor = topo.node_of(topo.neighbor(topo.coord_of(nid), d));
-        if tile.shard.owns(neighbor.index()) {
-            tile.shard.kill_link_local(neighbor, d.opposite());
-        }
-    }
-
-    // 1. Deliver ejections (PEs first, then banks, as in the sequential
-    // engine; the census gate is tile-local, which is a pure optimization
-    // — a drained shard has nothing to eject).
-    if tile.shard.in_flight() > 0 {
-        for (i, pe) in tile.pes.iter_mut().enumerate() {
-            let node = pe.node();
-            while let Some(mut flit) = tile.shard.eject(node) {
-                if I::ACTIVE && !flit.kind().is_shared_memory() {
-                    if let Some(bit) = tile.injector.corrupt_flit(now, node.index() as u16) {
-                        flit.corrupt_payload_bit(bit);
-                        let event =
-                            TraceEvent::FaultFlitCorrupted { node: node.index() as u16, bit };
-                        if LS::ACTIVE {
-                            sink.record(now, event);
-                        }
-                        push_tile_fault(&mut tile.fault_log, now, 1, event);
-                    }
-                }
-                if LS::ACTIVE {
-                    sink.record(now, delivered_event(node, &flit, now));
-                }
-                // A directory probe must wake even a parked or retired PE:
-                // the home bank blocks until it is answered.
-                if flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request {
-                    tile.wake[i] = now;
-                }
-                pe.deliver_traced(flit, now, sink);
-            }
-        }
-    }
-    tile_banks_deliver(&mut tile.shard, &mut tile.banks, now, sink);
-
-    // 2. Tick runnable components.
-    for (i, pe) in tile.pes.iter_mut().enumerate() {
-        if I::ACTIVE && tile.wake[i] <= now && !pe.is_done() {
-            let stall = tile.injector.pe_stall(now, pe.node().index() as u16);
-            if stall > 0 {
-                tile.wake[i] = now + Cycle::from(stall);
-                let event =
-                    TraceEvent::FaultPeStall { node: pe.node().index() as u16, cycles: stall };
-                if LS::ACTIVE {
-                    sink.record(now, event);
-                }
-                push_tile_fault(&mut tile.fault_log, now, 2, event);
-            }
-        }
-        if tile.wake[i] > now {
-            tile.ticked[i] = false;
-            continue;
-        }
-        tile.ticked[i] = true;
-        let was_done = pe.is_done();
-        pe.tick_traced(now, sink);
-        if M::ACTIVE {
-            tile.meter.pe_state(tile.pe_base + i, now, pe.activity());
-        }
-        if !was_done && pe.is_done() {
-            tile.live -= 1;
-        }
-        tile.wake[i] = match pe.sleep_until() {
-            Some(t) => t.max(now + 1),
-            None => now + 1,
-        };
-    }
-    banks_tick(&mut tile.banks, now, true, sink, &mut tile.injector);
-
-    // 3. Inject (one flit per node per cycle). The composite uid stamped
-    // by the shard keeps arbitration identical to the sequential sweep
-    // without any cross-tile ordering.
-    for (i, pe) in tile.pes.iter_mut().enumerate() {
-        if !tile.ticked[i] {
-            continue;
-        }
-        if let Some(flit) = pe.select_inject() {
-            let kind = flit.kind().code();
-            match tile.shard.try_inject(pe.node(), flit, now, false) {
-                Ok(()) => {
-                    if LS::ACTIVE {
-                        let node = pe.node().index() as u16;
-                        sink.record(now, TraceEvent::FlitInjected { node, kind });
-                    }
-                }
-                Err(back) => pe.restore_inject(back),
-            }
-        }
-    }
-    tile_banks_inject(&mut tile.shard, &mut tile.banks, now, sink);
-
-    // 4. Fabric: route + deliver local latches; boundary latches become
-    // exports.
-    tile.shard.tick_metered(now, sink, &mut tile.meter);
-
-    // 5. Publish boundary flits into this round's mailboxes and report.
-    let exports = tile.shard.take_exports();
-    let exported = exports.len();
-    for (to, from_dir, flit) in exports {
-        let dest = shared.tile_of(to as usize);
-        lock(&shared.mailboxes[cur][tile.index * tiles + dest]).push((to, from_dir, flit));
-    }
-
-    let quiet_local = tile.shard.in_flight() == 0 && exported == 0 && banks_quiet(&tile.banks);
-    let watchdog_on = cfg.resilience().watchdog_cycles > 0;
-    let (fp_partial, wake_guard) = if watchdog_on {
-        (
-            progress_fingerprint(&tile.pes, &tile.banks),
-            tile.pes.iter().enumerate().any(|(i, pe)| !pe.is_done() && tile.wake[i] > now + 1),
-        )
-    } else {
-        (0, false)
-    };
-    *lock(&shared.reports[tile.index]) = TileReport {
-        live: tile.live,
-        in_flight: tile.shard.in_flight(),
-        exported,
-        banks_quiet: banks_quiet(&tile.banks),
-        fp_partial,
-        wake_guard,
-        quiet: quiet_local.then(|| quiet_fold(&tile.pes)),
-    };
-}
-
-/// [`crate::system`]'s `banks_deliver`, restricted to a shard.
-fn tile_banks_deliver<LS: WorkerSink>(
-    shard: &mut NetworkShard,
-    banks: &mut [Bank],
-    now: Cycle,
-    sink: &mut LS,
-) {
-    for bank in banks {
-        if let Some(flit) = bank.hold.take() {
-            if let Err(back) = bank.unit.handle_incoming(flit) {
-                bank.hold = Some(back);
-            }
-        }
-        while bank.hold.is_none() && shard.in_flight() > 0 {
-            match shard.eject(bank.node) {
-                Some(flit) => {
-                    if LS::ACTIVE {
-                        sink.record(now, delivered_event(bank.node, &flit, now));
-                    }
-                    if let Err(back) = bank.unit.handle_incoming(flit) {
-                        bank.hold = Some(back);
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// [`crate::system`]'s `banks_inject`, restricted to a shard (bank
-/// responses carry the `from_bank` uid tag, sorting them after every
-/// same-cycle PE injection exactly like the sequential sweep order).
-fn tile_banks_inject<LS: WorkerSink>(
-    shard: &mut NetworkShard,
-    banks: &mut [Bank],
-    now: Cycle,
-    sink: &mut LS,
-) {
-    for bank in banks {
-        if let Some(flit) = bank.unit.pop_outgoing() {
-            let kind = flit.kind().code();
-            match shard.try_inject(bank.node, flit, now, true) {
-                Ok(()) => {
-                    if LS::ACTIVE {
-                        let node = bank.node.index() as u16;
-                        sink.record(now, TraceEvent::FlitInjected { node, kind });
-                    }
-                }
-                Err(back) => bank.unit.return_outgoing(back),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

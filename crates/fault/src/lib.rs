@@ -214,8 +214,8 @@ pub trait FaultInjector: Send {
     fn stats(&self) -> FaultStats;
 
     /// An independent injector for one tile of the parallel cycle engine,
-    /// or `None` if this injector cannot be split (the engine then falls
-    /// back to the sequential path).
+    /// or `None` if this injector cannot be split (the engine then runs
+    /// on one tile).
     ///
     /// A fork must answer every *stateless* decision hook —
     /// [`corrupt_flit`](Self::corrupt_flit),

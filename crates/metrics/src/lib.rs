@@ -46,13 +46,12 @@
 //!
 //! # Tiled-engine determinism
 //!
-//! The tiled parallel engine forks one full-size [`Recorder`] per tile
+//! A multi-tile run forks one full-size [`Recorder`] per tile
 //! ([`Meter::fork`]); tiles write disjoint PE/bank/router slots, and the
 //! forks are merged back in fixed tile-index order ([`Meter::absorb`]).
 //! Because every per-slot field has exactly one writer and merging is a
 //! plain element-wise sum, a multi-threaded run yields a bit-identical
-//! sample series and breakdown to the sequential engine at any thread
-//! count.
+//! sample series and breakdown to a one-tile run at any thread count.
 
 pub mod heatmap;
 pub mod meter;

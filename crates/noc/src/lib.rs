@@ -13,8 +13,10 @@
 //! * the **three-level packet format** of Fig. 5 ([`flit`], [`codec`]) with
 //!   its seven packet types and 4-bit sequence numbers for out-of-order
 //!   reassembly at the receiver;
-//! * a whole-fabric model ([`network`]) and a contention-free reference
-//!   fabric ([`ideal`]) used by the ablation benchmarks;
+//! * the fabric model ([`network`]), whole or sharded into the
+//!   contiguous node ranges the cycle engine's tiles own, and a
+//!   contention-free reference fabric ([`ideal`]) used by the ablation
+//!   benchmarks;
 //! * synthetic traffic generators and a standalone measurement loop
 //!   ([`traffic`]) for NoC-only characterization.
 //!
@@ -92,12 +94,15 @@ impl FabricStats {
 
 /// A network fabric: anything that can carry MEDEA flits between nodes.
 ///
-/// Two implementations exist: the paper's deflection-routed folded torus
-/// ([`network::Network`]) and a contention-free ideal fabric
-/// ([`ideal::IdealNetwork`]) used as an ablation baseline. Cycle engines
-/// that tick a fabric every cycle should hold an [`AnyFabric`] rather
-/// than a `Box<dyn Fabric>`: the enum dispatches statically, so the
-/// per-cycle `tick`/`in_flight` calls inline into the hot loop.
+/// Three implementations exist: the paper's deflection-routed folded
+/// torus ([`network::Network`], whole or one shard of it), a
+/// contention-free ideal fabric ([`ideal::IdealNetwork`]) used as an
+/// ablation baseline, and the frozen seed fabric
+/// ([`reference::ReferenceNetwork`]) kept as the behavioural oracle. The
+/// cycle engine is generic over the fabric and picks the concrete type
+/// once per run, so the per-cycle calls dispatch statically and inline
+/// into the hot loop; `Box<dyn Fabric>` still works for the reference
+/// engine, because the one generic method requires `Self: Sized`.
 pub trait Fabric {
     /// Attempt to inject `flit` at `node` during cycle `now`.
     ///
@@ -133,6 +138,23 @@ pub trait Fabric {
     /// Advance the fabric by one cycle ending at `now`.
     fn tick(&mut self, now: Cycle);
 
+    /// [`Fabric::tick`] with NoC events (deflections, per-router link
+    /// load) reported to `sink` and per-link occupancy masks reported to
+    /// `meter` ([`medea_metrics::Meter::link_busy`]). The default ticks
+    /// unobserved, which is right for a fabric without switches or
+    /// contended links (the ideal fabric has nothing to report beyond
+    /// the engine-side inject and deliver events).
+    fn tick_metered<S: medea_trace::TraceSink, M: medea_metrics::Meter>(
+        &mut self,
+        now: Cycle,
+        _sink: &mut S,
+        _meter: &mut M,
+    ) where
+        Self: Sized,
+    {
+        self.tick(now);
+    }
+
     /// Number of flits currently inside the fabric (in links, latches or
     /// ejection queues). Zero means the fabric is drained — the full-system
     /// simulator uses this for idle fast-forwarding.
@@ -146,123 +168,8 @@ pub trait Fabric {
 
     /// Permanently kill the link leaving `node` toward `dir` (fault
     /// injection). Implementations must disable *both* directions of the
-    /// physical link. The default is a no-op for fabrics without
-    /// contended links (the ideal fabric has nothing to kill).
+    /// physical link; a shard of the fabric disables the ends it owns.
+    /// The default is a no-op for fabrics without contended links (the
+    /// ideal fabric has nothing to kill).
     fn kill_link(&mut self, _node: NodeId, _dir: coord::Dir) {}
-}
-
-/// Closed sum of the fabric implementations, for static dispatch in
-/// cycle-loop hot paths (a `Box<dyn Fabric>` costs a vtable indirection
-/// per call, every cycle).
-#[derive(Debug, Clone)]
-pub enum AnyFabric {
-    /// The paper's deflection-routed folded torus.
-    Deflection(network::Network),
-    /// Contention-free ideal network (ablation baseline).
-    Ideal(ideal::IdealNetwork),
-}
-
-impl AnyFabric {
-    /// [`Fabric::tick`] with NoC events (deflections, per-router link
-    /// load) reported to `sink`. The ideal fabric is contention-free —
-    /// no switches, no deflections — so it has nothing to report beyond
-    /// the engine-side inject/deliver events, and ticks untraced.
-    pub fn tick_traced<S: medea_trace::TraceSink>(&mut self, now: Cycle, sink: &mut S) {
-        match self {
-            AnyFabric::Deflection(net) => net.tick_traced(now, sink),
-            AnyFabric::Ideal(net) => net.tick(now),
-        }
-    }
-
-    /// [`AnyFabric::tick_traced`] with per-link occupancy masks reported
-    /// to `meter` ([`medea_metrics::Meter::link_busy`]). The ideal fabric
-    /// has no contended links, so its utilization series is identically
-    /// zero and it ticks unmetered.
-    pub fn tick_metered<S: medea_trace::TraceSink, M: medea_metrics::Meter>(
-        &mut self,
-        now: Cycle,
-        sink: &mut S,
-        meter: &mut M,
-    ) {
-        match self {
-            AnyFabric::Deflection(net) => net.tick_metered(now, sink, meter),
-            AnyFabric::Ideal(net) => net.tick(now),
-        }
-    }
-}
-
-impl From<network::Network> for AnyFabric {
-    fn from(net: network::Network) -> Self {
-        AnyFabric::Deflection(net)
-    }
-}
-
-impl From<ideal::IdealNetwork> for AnyFabric {
-    fn from(net: ideal::IdealNetwork) -> Self {
-        AnyFabric::Ideal(net)
-    }
-}
-
-impl Fabric for AnyFabric {
-    fn try_inject(&mut self, node: NodeId, flit: Flit, now: Cycle) -> Result<(), Flit> {
-        match self {
-            AnyFabric::Deflection(net) => net.try_inject(node, flit, now),
-            AnyFabric::Ideal(net) => net.try_inject(node, flit, now),
-        }
-    }
-
-    fn try_inject_tagged(
-        &mut self,
-        node: NodeId,
-        flit: Flit,
-        now: Cycle,
-        from_bank: bool,
-    ) -> Result<(), Flit> {
-        match self {
-            AnyFabric::Deflection(net) => net.try_inject_tagged(node, flit, now, from_bank),
-            AnyFabric::Ideal(net) => net.try_inject(node, flit, now),
-        }
-    }
-
-    fn eject(&mut self, node: NodeId) -> Option<Flit> {
-        match self {
-            AnyFabric::Deflection(net) => net.eject(node),
-            AnyFabric::Ideal(net) => net.eject(node),
-        }
-    }
-
-    fn tick(&mut self, now: Cycle) {
-        match self {
-            AnyFabric::Deflection(net) => net.tick(now),
-            AnyFabric::Ideal(net) => net.tick(now),
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        match self {
-            AnyFabric::Deflection(net) => net.in_flight(),
-            AnyFabric::Ideal(net) => net.in_flight(),
-        }
-    }
-
-    fn stats(&self) -> &FabricStats {
-        match self {
-            AnyFabric::Deflection(net) => net.stats(),
-            AnyFabric::Ideal(net) => net.stats(),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            AnyFabric::Deflection(net) => net.node_count(),
-            AnyFabric::Ideal(net) => net.node_count(),
-        }
-    }
-
-    fn kill_link(&mut self, node: NodeId, dir: coord::Dir) {
-        match self {
-            AnyFabric::Deflection(net) => net.kill_link(node, dir),
-            AnyFabric::Ideal(_) => {}
-        }
-    }
 }

@@ -35,9 +35,9 @@ use medea_trace::{NullSink, TraceEvent, TraceSink};
 /// responses in bank order, and both the rank→node and bank→node maps are
 /// strictly increasing. Encoding `(is_bank, node)` in the low 9 bits
 /// therefore sorts exactly like a shared injection counter would — but is
-/// locally computable, which is what lets the tiled parallel engine assign
-/// uids without any cross-tile coordination (and why the sequential engine
-/// uses the same scheme, keeping both engines bit-identical).
+/// locally computable, which is what lets the cycle engine's tiles assign
+/// uids without any cross-tile coordination, so a run's result does not
+/// depend on how many tiles it is split into.
 ///
 /// The uid is unique among concurrently-resident flits: a router accepts at
 /// most one injection per node per cycle, and no node hosts both a PE and a
@@ -48,14 +48,37 @@ pub fn compose_uid(now: Cycle, from_bank: bool, node: NodeId) -> u64 {
     (now << 9) | ((from_bank as u64) << 8) | node.index() as u64
 }
 
-/// Deflection-routed folded-torus network (§II-A).
+/// Deflection-routed folded-torus network (§II-A), or one contiguous
+/// shard of it.
+///
+/// [`Network::new`] builds the whole fabric. [`Network::shard`] builds the
+/// routers of the node range `[lo, hi)` only, for one tile of the cycle
+/// engine; the whole fabric is simply the shard over `0..nodes`. A shard
+/// ticks exactly like the whole fabric except in phase 2: a latched flit
+/// whose receiving switch lives outside the shard is not delivered but
+/// queued as an export `(destination node, receiving direction, flit)`.
+/// The engine hands exports to the owning shard, which imports them at
+/// the start of the next cycle — the same single-cycle link timing the
+/// whole fabric implements by calling [`DeflectionRouter::accept`]
+/// directly. Because each `(router, direction)` input latch has exactly
+/// one possible writer (the unique neighbour on that link), boundary
+/// deliveries from different shards can never collide, and import order
+/// cannot change the outcome.
+///
+/// Injection uses [`compose_uid`], so shards assign globally consistent
+/// arbitration uids without coordination; statistics are per shard and
+/// merge in tile order at the end of a run ([`FabricStats::merge`]).
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
+    /// The node range `[lo, hi)` this network owns.
+    lo: usize,
+    hi: usize,
     routers: Vec<DeflectionRouter>,
     stats: FabricStats,
-    /// Flits inside the fabric (latches + injection registers + ejection
-    /// queues): +1 on accepted injection, -1 on ejection.
+    /// Flits inside this network (latches + injection registers + ejection
+    /// queues): +1 on accepted injection or import, -1 on ejection or
+    /// export.
     in_flight: usize,
     /// Per-router output latches, reused every cycle.
     latches: Vec<[Option<Flit>; 4]>,
@@ -65,238 +88,30 @@ pub struct Network {
     is_active: Vec<bool>,
     /// Spare buffer holding the previous cycle's working set.
     retired: Vec<u16>,
-}
-
-impl Network {
-    /// Build the fabric for `topo`.
-    pub fn new(topo: Topology) -> Self {
-        let nodes = topo.nodes();
-        let routers = (0..nodes)
-            .map(|i| DeflectionRouter::new(topo, topo.coord_of(NodeId::new(i as u16))))
-            .collect();
-        Network {
-            topo,
-            routers,
-            stats: FabricStats::default(),
-            in_flight: 0,
-            latches: vec![[None; 4]; nodes],
-            active: Vec::with_capacity(nodes),
-            is_active: vec![false; nodes],
-            retired: Vec::with_capacity(nodes),
-        }
-    }
-
-    /// The topology this network was built for.
-    pub const fn topology(&self) -> Topology {
-        self.topo
-    }
-
-    /// Kill the physical link between `node` and its `dir` neighbour, in
-    /// both directions: this switch's output port *and* the neighbour's
-    /// opposite output port go dead, so each affected switch keeps at
-    /// least as many live output ports as live input latches and the
-    /// deflection free-port invariant survives. Flits already in flight
-    /// are unaffected (they simply route around the gap from now on).
-    pub fn kill_link(&mut self, node: NodeId, dir: Dir) {
-        let from = self.topo.coord_of(node);
-        let to = self.topo.node_of(self.topo.neighbor(from, dir));
-        self.routers[node.index()].set_link_dead(dir);
-        self.routers[to.index()].set_link_dead(dir.opposite());
-    }
-
-    fn router_mut(&mut self, node: NodeId) -> &mut DeflectionRouter {
-        &mut self.routers[node.index()]
-    }
-
-    fn mark_active(&mut self, idx: usize) {
-        if !self.is_active[idx] {
-            self.is_active[idx] = true;
-            self.active.push(idx as u16);
-        }
-    }
-
-    /// [`Fabric::tick`] with NoC events reported to `sink`: per-router
-    /// deflections (from [`DeflectionRouter::route_traced`]) and the
-    /// per-cycle output-link occupancy of every active router — the raw
-    /// series behind per-link heatmaps. With an inactive sink this
-    /// monomorphizes to exactly the untraced tick.
-    pub fn tick_traced<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
-        self.tick_metered(now, sink, &mut NullMeter);
-    }
-
-    /// [`Network::tick_traced`] with per-link occupancy additionally
-    /// reported to `meter`: each active router contributes the 4-bit mask
-    /// of its latched output directions ([`Meter::link_busy`]) — the
-    /// directed-link resolution behind the heatmap report, where the
-    /// trace event ([`medea_trace::TraceEvent::LinkLoad`]) only carries
-    /// the per-router count. Both guards are associated constants, so
-    /// either instrument monomorphizes away independently.
-    pub fn tick_metered<S: TraceSink, M: Meter>(
-        &mut self,
-        now: Cycle,
-        sink: &mut S,
-        meter: &mut M,
-    ) {
-        // This cycle's working set, moved out so the `active` field can
-        // start accumulating the next cycle's set into the spare buffer
-        // (both buffers are retained — steady state allocates nothing).
-        let mut work = std::mem::replace(&mut self.active, std::mem::take(&mut self.retired));
-        for &i in &work {
-            self.is_active[i as usize] = false;
-        }
-
-        // Phase 1: every active router routes its latched flits into the
-        // persistent link latches.
-        for &i in &work {
-            self.latches[i as usize] =
-                self.routers[i as usize].route_traced(now, &mut self.stats, sink);
-        }
-
-        // Phase 2: deliver over the (single-cycle) links; receiving
-        // switches and switches with an undrained injection register form
-        // the next working set.
-        for &i in &work {
-            let i = i as usize;
-            if S::ACTIVE || M::ACTIVE {
-                // Every *active* router reports its occupancy — zeros
-                // included, so a draining router's counter series returns
-                // to zero instead of freezing at its last busy value.
-                // Idle routers are not in the working set and emit
-                // nothing.
-                let mut mask = 0u8;
-                for (d, latch) in self.latches[i].iter().enumerate() {
-                    mask |= u8::from(latch.is_some()) << d;
-                }
-                if S::ACTIVE {
-                    let links = mask.count_ones() as u8;
-                    sink.record(now, TraceEvent::LinkLoad { node: i as u16, links });
-                }
-                if M::ACTIVE {
-                    meter.link_busy(i as u16, mask);
-                }
-            }
-            let from = self.topo.coord_of(NodeId::new(i as u16));
-            for dir in Dir::ALL {
-                if let Some(flit) = self.latches[i][dir.index()].take() {
-                    let to = self.topo.neighbor(from, dir);
-                    let to_idx = self.topo.node_of(to).index();
-                    self.routers[to_idx].accept(dir.opposite(), flit);
-                    self.mark_active(to_idx);
-                }
-            }
-            if self.routers[i].has_pending_inject() {
-                self.mark_active(i);
-            }
-        }
-
-        work.clear();
-        self.retired = work;
-    }
-}
-
-impl Fabric for Network {
-    fn try_inject(&mut self, node: NodeId, flit: Flit, now: Cycle) -> Result<(), Flit> {
-        self.try_inject_tagged(node, flit, now, false)
-    }
-
-    fn try_inject_tagged(
-        &mut self,
-        node: NodeId,
-        mut flit: Flit,
-        now: Cycle,
-        from_bank: bool,
-    ) -> Result<(), Flit> {
-        flit.meta.injected_at = now;
-        flit.meta.uid = compose_uid(now, from_bank, node);
-        match self.router_mut(node).try_inject(flit) {
-            Ok(()) => {
-                self.stats.injected += 1;
-                self.in_flight += 1;
-                self.mark_active(node.index());
-                Ok(())
-            }
-            Err(flit) => {
-                self.stats.inject_refusals += 1;
-                Err(flit)
-            }
-        }
-    }
-
-    fn eject(&mut self, node: NodeId) -> Option<Flit> {
-        let flit = self.router_mut(node).eject();
-        if flit.is_some() {
-            self.in_flight -= 1;
-        }
-        flit
-    }
-
-    fn tick(&mut self, now: Cycle) {
-        self.tick_traced(now, &mut NullSink);
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    fn stats(&self) -> &FabricStats {
-        &self.stats
-    }
-
-    fn node_count(&self) -> usize {
-        self.topo.nodes()
-    }
-
-    fn kill_link(&mut self, node: NodeId, dir: Dir) {
-        Network::kill_link(self, node, dir);
-    }
-}
-
-/// One tile's slice of the deflection fabric, for the tiled parallel
-/// cycle engine: the routers of the contiguous node range `[lo, hi)`,
-/// with their own activity set, latches and statistics.
-///
-/// A shard ticks exactly like [`Network::tick_traced`] except in phase 2:
-/// a latched flit whose receiving switch lives in *another* tile is not
-/// delivered but pushed onto the `exports` list as
-/// `(destination node, receiving direction, flit)`. The engine moves
-/// exports into per-tile-pair mailboxes at the end of cycle `T`, and the
-/// destination shard imports them at the start of cycle `T + 1` — the
-/// same single-cycle link timing the sequential fabric implements by
-/// calling [`DeflectionRouter::accept`] directly. Because each
-/// `(router, direction)` input latch has exactly one possible writer (the
-/// unique neighbour on that link), boundary deliveries from different
-/// tiles can never collide, and import order cannot change the outcome.
-///
-/// Injection uses [`compose_uid`], so shards assign globally consistent
-/// arbitration uids without coordination; statistics are per-shard and
-/// merged in tile order at the end of the run ([`FabricStats::merge`]).
-#[derive(Debug)]
-pub struct NetworkShard {
-    topo: Topology,
-    lo: usize,
-    hi: usize,
-    routers: Vec<DeflectionRouter>,
-    stats: FabricStats,
-    /// Flits inside *this shard* (+1 inject/import, -1 eject/export).
-    in_flight: usize,
-    latches: Vec<[Option<Flit>; 4]>,
-    active: Vec<u16>,
-    is_active: Vec<bool>,
-    retired: Vec<u16>,
-    /// Boundary deliveries produced by the current tick:
-    /// `(destination node index, receiving direction index, flit)`.
+    /// Boundary deliveries produced by the latest tick: `(destination
+    /// node index, receiving direction index, flit)`. Always empty for the
+    /// whole fabric.
     exports: Vec<(u16, u8, Flit)>,
 }
 
-impl NetworkShard {
-    /// Shard of `topo` owning the node range `[lo, hi)`.
-    pub fn new(topo: Topology, lo: usize, hi: usize) -> Self {
+impl Network {
+    /// Build the whole fabric for `topo`.
+    pub fn new(topo: Topology) -> Self {
+        Self::shard(topo, 0, topo.nodes())
+    }
+
+    /// Build the shard of `topo` owning the node range `[lo, hi)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or reaches past the last node.
+    pub fn shard(topo: Topology, lo: usize, hi: usize) -> Self {
         assert!(lo < hi && hi <= topo.nodes(), "invalid shard range {lo}..{hi}");
         let routers = (lo..hi)
             .map(|i| DeflectionRouter::new(topo, topo.coord_of(NodeId::new(i as u16))))
             .collect();
         let len = hi - lo;
-        NetworkShard {
+        Network {
             topo,
             lo,
             hi,
@@ -311,29 +126,14 @@ impl NetworkShard {
         }
     }
 
-    /// First node index owned by this shard.
-    pub const fn lo(&self) -> usize {
-        self.lo
+    /// The topology this network was built for.
+    pub const fn topology(&self) -> Topology {
+        self.topo
     }
 
-    /// One past the last node index owned by this shard.
-    pub const fn hi(&self) -> usize {
-        self.hi
-    }
-
-    /// Whether `node` belongs to this shard.
-    pub fn owns(&self, node: usize) -> bool {
+    /// Whether `node` belongs to this network.
+    fn owns(&self, node: usize) -> bool {
         (self.lo..self.hi).contains(&node)
-    }
-
-    /// Flits currently inside this shard.
-    pub const fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// This shard's statistics slice.
-    pub const fn stats(&self) -> &FabricStats {
-        &self.stats
     }
 
     fn mark_active(&mut self, local: usize) {
@@ -343,12 +143,40 @@ impl NetworkShard {
         }
     }
 
-    /// [`Fabric::try_inject_tagged`] for a node owned by this shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns the flit back if the router cannot accept it this cycle.
-    pub fn try_inject(
+    /// Accept a boundary delivery produced by a neighbouring shard during
+    /// the previous cycle: the flit enters `to`'s input latch from
+    /// direction `from_dir`, exactly as [`DeflectionRouter::accept`] would
+    /// have during the whole fabric's phase 2.
+    pub fn import(&mut self, to: u16, from_dir: u8, flit: Flit) {
+        let local = to as usize - self.lo;
+        self.routers[local].accept(Dir::ALL[from_dir as usize & 3], flit);
+        self.in_flight += 1;
+        self.mark_active(local);
+    }
+
+    /// Take the boundary deliveries produced by the latest tick. The
+    /// returned iterator drains the export buffer, which keeps its
+    /// capacity, so a steady exchange allocates nothing.
+    pub fn take_exports(&mut self) -> std::vec::Drain<'_, (u16, u8, Flit)> {
+        self.exports.drain(..)
+    }
+
+    /// [`Fabric::tick`] with NoC events reported to `sink`: per-router
+    /// deflections (from [`DeflectionRouter::route_traced`]) and the
+    /// per-cycle output-link occupancy of every active router — the raw
+    /// series behind per-link heatmaps. With an inactive sink this
+    /// monomorphizes to exactly the untraced tick.
+    pub fn tick_traced<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
+        self.tick_metered(now, sink, &mut NullMeter);
+    }
+}
+
+impl Fabric for Network {
+    fn try_inject(&mut self, node: NodeId, flit: Flit, now: Cycle) -> Result<(), Flit> {
+        self.try_inject_tagged(node, flit, now, false)
+    }
+
+    fn try_inject_tagged(
         &mut self,
         node: NodeId,
         mut flit: Flit,
@@ -372,8 +200,7 @@ impl NetworkShard {
         }
     }
 
-    /// Remove the oldest flit waiting in `node`'s ejection queue, if any.
-    pub fn eject(&mut self, node: NodeId) -> Option<Flit> {
+    fn eject(&mut self, node: NodeId) -> Option<Flit> {
         let flit = self.routers[node.index() - self.lo].eject();
         if flit.is_some() {
             self.in_flight -= 1;
@@ -381,89 +208,67 @@ impl NetworkShard {
         flit
     }
 
-    /// Kill *this side* of a physical link: `node`'s output port toward
-    /// `dir`. The engine calls this once per affected endpoint, so a link
-    /// crossing a tile boundary is disabled by the two shards that own its
-    /// ends (cf. [`Network::kill_link`], which does both sides itself).
-    pub fn kill_link_local(&mut self, node: NodeId, dir: Dir) {
-        self.routers[node.index() - self.lo].set_link_dead(dir);
+    fn tick(&mut self, now: Cycle) {
+        self.tick_metered(now, &mut NullSink, &mut NullMeter);
     }
 
-    /// Accept a boundary delivery produced by a neighbouring shard during
-    /// the previous cycle: the flit enters `to`'s input latch from
-    /// direction `from_dir`, exactly as [`DeflectionRouter::accept`] would
-    /// have during the sequential phase 2.
-    pub fn import(&mut self, to: u16, from_dir: u8, flit: Flit) {
-        let local = to as usize - self.lo;
-        self.routers[local].accept(Dir::ALL[from_dir as usize & 3], flit);
-        self.in_flight += 1;
-        self.mark_active(local);
-    }
-
-    /// Take the boundary deliveries produced by the latest tick.
-    pub fn take_exports(&mut self) -> Vec<(u16, u8, Flit)> {
-        std::mem::take(&mut self.exports)
-    }
-
-    /// Number of boundary deliveries produced by the latest tick that have
-    /// not yet been taken.
-    pub fn pending_exports(&self) -> usize {
-        self.exports.len()
-    }
-
-    /// [`Network::tick_traced`] restricted to this shard's routers;
-    /// cross-tile deliveries land in the export list instead of the
-    /// destination latch.
-    pub fn tick_traced<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
-        self.tick_metered(now, sink, &mut NullMeter);
-    }
-
-    /// [`Network::tick_metered`] restricted to this shard's routers: link
-    /// masks are reported with *global* node ids, so a full-size per-tile
-    /// meter accumulates into the same slots the sequential fabric would
-    /// — shard meters merge by element-wise sum (each router has exactly
-    /// one owning shard).
-    pub fn tick_metered<S: TraceSink, M: Meter>(
-        &mut self,
-        now: Cycle,
-        sink: &mut S,
-        meter: &mut M,
-    ) {
+    /// Each active router contributes the 4-bit mask of its latched
+    /// output directions ([`Meter::link_busy`]), keyed by *global* node
+    /// id, so per-shard meters merge by element-wise sum — the
+    /// directed-link resolution behind the heatmap report, where the trace
+    /// event ([`medea_trace::TraceEvent::LinkLoad`]) only carries the
+    /// per-router count. Both guards are associated constants, so either
+    /// instrument monomorphizes away independently.
+    fn tick_metered<S: TraceSink, M: Meter>(&mut self, now: Cycle, sink: &mut S, meter: &mut M) {
+        // This cycle's working set, moved out so the `active` field can
+        // start accumulating the next cycle's set into the spare buffer
+        // (both buffers are retained — steady state allocates nothing).
         let mut work = std::mem::replace(&mut self.active, std::mem::take(&mut self.retired));
         for &i in &work {
             self.is_active[i as usize] = false;
         }
 
+        // Phase 1: every active router routes its latched flits into the
+        // persistent link latches.
         for &i in &work {
             self.latches[i as usize] =
                 self.routers[i as usize].route_traced(now, &mut self.stats, sink);
         }
 
+        // Phase 2: deliver over the (single-cycle) links; receiving
+        // switches and switches with an undrained injection register form
+        // the next working set. A receiving switch outside this shard
+        // gets the flit as an export instead.
         for &i in &work {
             let i = i as usize;
+            let node = (self.lo + i) as u16;
             if S::ACTIVE || M::ACTIVE {
+                // Every *active* router reports its occupancy — zeros
+                // included, so a draining router's counter series returns
+                // to zero instead of freezing at its last busy value.
+                // Idle routers are not in the working set and emit
+                // nothing.
                 let mut mask = 0u8;
                 for (d, latch) in self.latches[i].iter().enumerate() {
                     mask |= u8::from(latch.is_some()) << d;
                 }
                 if S::ACTIVE {
                     let links = mask.count_ones() as u8;
-                    sink.record(now, TraceEvent::LinkLoad { node: (self.lo + i) as u16, links });
+                    sink.record(now, TraceEvent::LinkLoad { node, links });
                 }
                 if M::ACTIVE {
-                    meter.link_busy((self.lo + i) as u16, mask);
+                    meter.link_busy(node, mask);
                 }
             }
-            let from = self.topo.coord_of(NodeId::new((self.lo + i) as u16));
+            let from = self.topo.coord_of(NodeId::new(node));
             for dir in Dir::ALL {
                 if let Some(flit) = self.latches[i][dir.index()].take() {
-                    let to = self.topo.neighbor(from, dir);
-                    let to_idx = self.topo.node_of(to).index();
-                    if self.owns(to_idx) {
-                        self.routers[to_idx - self.lo].accept(dir.opposite(), flit);
-                        self.mark_active(to_idx - self.lo);
+                    let to = self.topo.node_of(self.topo.neighbor(from, dir)).index();
+                    if self.owns(to) {
+                        self.routers[to - self.lo].accept(dir.opposite(), flit);
+                        self.mark_active(to - self.lo);
                     } else {
-                        self.exports.push((to_idx as u16, dir.opposite().index() as u8, flit));
+                        self.exports.push((to as u16, dir.opposite().index() as u8, flit));
                         self.in_flight -= 1;
                     }
                 }
@@ -475,6 +280,36 @@ impl NetworkShard {
 
         work.clear();
         self.retired = work;
+    }
+
+    fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    fn stats(&self) -> &FabricStats {
+        &self.stats
+    }
+
+    fn node_count(&self) -> usize {
+        self.topo.nodes()
+    }
+
+    /// Kill the physical link between `node` and its `dir` neighbour, in
+    /// both directions: this switch's output port *and* the neighbour's
+    /// opposite output port go dead, so each affected switch keeps at
+    /// least as many live output ports as live input latches and the
+    /// deflection free-port invariant survives. Flits already in flight
+    /// are unaffected (they simply route around the gap from now on).
+    ///
+    /// A shard kills only the endpoints it owns, so a link crossing a
+    /// shard boundary dies once every shard has been told about it.
+    fn kill_link(&mut self, node: NodeId, dir: Dir) {
+        let neighbor = self.topo.node_of(self.topo.neighbor(self.topo.coord_of(node), dir));
+        for (end, port) in [(node, dir), (neighbor, dir.opposite())] {
+            if self.owns(end.index()) {
+                self.routers[end.index() - self.lo].set_link_dead(port);
+            }
+        }
     }
 }
 
@@ -664,7 +499,7 @@ mod tests {
         // determinism argument.
         let topo = Topology::paper_4x4();
         let mut whole = Network::new(topo);
-        let mut shards = [NetworkShard::new(topo, 0, 8), NetworkShard::new(topo, 8, 16)];
+        let mut shards = [Network::shard(topo, 0, 8), Network::shard(topo, 8, 16)];
         let tile_of = |node: usize| usize::from(node >= 8);
         // Boundary flits in flight between cycles, keyed by destination tile.
         let mut mailboxes: [Vec<(u16, u8, Flit)>; 2] = [Vec::new(), Vec::new()];
@@ -690,7 +525,7 @@ mod tests {
                     );
                     let a = whole.try_inject(NodeId::new(s as u16), flit, now).is_ok();
                     let b = shards[tile_of(s)]
-                        .try_inject(NodeId::new(s as u16), flit, now, false)
+                        .try_inject_tagged(NodeId::new(s as u16), flit, now, false)
                         .is_ok();
                     assert_eq!(a, b, "inject divergence at node {s} cycle {now}");
                 }

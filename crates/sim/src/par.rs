@@ -12,8 +12,8 @@
 //! The barrier *is* the clock edge: no tile can observe another tile's
 //! cycle-`T` state until every tile has finished cycle `T`, so cross-tile
 //! effects (boundary link latches, in-flight counts, stats) are exchanged
-//! at exactly the same simulated time as the sequential engine's intra-cycle
-//! phase ordering — which is what keeps the tiled engine bit-identical to
+//! at exactly the same simulated time as a one-tile run's intra-cycle
+//! phase ordering — which is what keeps a multi-tile run bit-identical to
 //! `System::run` on one thread.
 //!
 //! [`Phaser`] is intentionally tiny and spin-based. Cycle times are in the

@@ -194,8 +194,8 @@ impl Log2Histogram {
 
     /// Merge another histogram into this one, bucket by bucket.
     ///
-    /// Used by the tiled cycle engine to fold per-tile latency histograms
-    /// into the single histogram the sequential engine would have produced:
+    /// Used by the cycle engine to fold per-tile latency histograms into
+    /// the single histogram one tile would have produced:
     /// bucket counts and the streaming summary are both plain sums/min/max,
     /// so the merge is commutative and the merged result is bit-identical
     /// to recording every sample into one histogram, whatever the tile

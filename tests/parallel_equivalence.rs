@@ -23,16 +23,25 @@
 //! Error paths are part of the contract too: a deadlocked workload must
 //! produce the *identical* `RunError` (cycle of detection and diagnostic
 //! string included) at every thread count.
+//!
+//! Faults are pinned the same way: link kills across tile boundaries,
+//! flit corruption under resilient eMPI, PE stalls and a watchdog-firing
+//! livelock produce the identical `RunResult` or `RunError` (recent-fault
+//! tail included) at 1, 2 and 4 host threads, with an injector that can
+//! be forked per tile and with one that cannot.
 
 use std::collections::HashMap;
 
 use medea::core::api::PeApi;
 use medea::core::system::{kernel, Kernel, RunResult, System};
-use medea::core::{Empi, SystemConfig, Topology};
+use medea::core::{
+    DeadLink, Empi, FaultConfig, FaultInjector, FaultStats, ResilienceConfig, RunError,
+    ScheduledInjector, SystemConfig, Topology,
+};
 use medea::sim::ids::Rank;
 use medea::sim::rng::SplitMix64;
 use medea::sim::Cycle;
-use medea::trace::{RingSink, TraceConfig};
+use medea::trace::{NullSink, RingSink, TraceConfig};
 
 /// Thread counts the tiled engine must match single-thread at: even and
 /// odd, dividing and not dividing the node count.
@@ -428,5 +437,199 @@ fn deadlock_detection_is_identical() {
     for threads in THREADS {
         let tiled = System::run(&cfg(2, threads), &[], kernels()).expect_err("must deadlock");
         assert_eq!(tiled, seq, "RunError @{threads}t");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fault equivalence
+// ---------------------------------------------------------------------
+
+/// A [`ScheduledInjector`] that cannot be split per tile: every hook
+/// delegates, and `fork_for_tile` keeps the trait's default `None`, so
+/// the engine runs the schedule on one tile whatever `host_threads` asks.
+struct Unforkable(ScheduledInjector);
+
+impl FaultInjector for Unforkable {
+    const ACTIVE: bool = true;
+    fn corrupt_flit(&mut self, now: Cycle, node: u16) -> Option<u8> {
+        self.0.corrupt_flit(now, node)
+    }
+    fn take_link_kill(&mut self, now: Cycle) -> Option<DeadLink> {
+        self.0.take_link_kill(now)
+    }
+    fn bank_drop(&mut self, now: Cycle, bank: u16) -> bool {
+        self.0.bank_drop(now, bank)
+    }
+    fn bank_delay(&mut self, now: Cycle, bank: u16) -> u32 {
+        self.0.bank_delay(now, bank)
+    }
+    fn pe_stall(&mut self, now: Cycle, node: u16) -> u32 {
+        self.0.pe_stall(now, node)
+    }
+    fn stats(&self) -> FaultStats {
+        self.0.stats()
+    }
+}
+
+/// Identical outcomes: the same `RunResult` (including fault and recovery
+/// counters), or the same `RunError` down to its `detail` string.
+fn assert_same_outcome(
+    label: &str,
+    a: &Result<RunResult, RunError>,
+    b: &Result<RunResult, RunError>,
+) {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            assert_identical(label, a, b);
+            assert_eq!(a.fault, b.fault, "{label}: fault stats");
+            assert_eq!(a.fabric_reroutes, b.fabric_reroutes, "{label}: reroutes");
+            assert_eq!(a.retransmits(), b.retransmits(), "{label}: retransmits");
+            assert_eq!(a.nacks_sent(), b.nacks_sent(), "{label}: nacks");
+            assert_eq!(a.bridge_retries(), b.bridge_retries(), "{label}: bridge retries");
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{label}: RunError"),
+        (a, b) => panic!("{label}: outcomes differ: {a:?} vs {b:?}"),
+    }
+}
+
+/// Run `kernels` under `schedule` at 1, 2 and 4 host threads, with a
+/// forkable and an unforkable injector, and require every outcome to
+/// equal the single-thread forkable one, which is returned for the
+/// scenario's own sanity checks.
+fn faulted_runs_match(
+    name: &str,
+    build: impl Fn(usize) -> SystemConfig,
+    kernels: impl Fn() -> Vec<Kernel>,
+    schedule: FaultConfig,
+) -> Result<RunResult, RunError> {
+    let run = |threads: usize, forkable: bool| {
+        let cfg = build(threads);
+        if forkable {
+            let mut injector = ScheduledInjector::new(schedule);
+            System::run_faulted(&cfg, &[], kernels(), &mut NullSink, &mut injector)
+        } else {
+            let mut injector = Unforkable(ScheduledInjector::new(schedule));
+            System::run_faulted(&cfg, &[], kernels(), &mut NullSink, &mut injector)
+        }
+    };
+    let base = run(1, true);
+    for threads in [1, 2, 4] {
+        for forkable in [true, false] {
+            if threads == 1 && forkable {
+                continue;
+            }
+            let label = format!("{name}@{threads}t forkable={forkable}");
+            assert_same_outcome(&label, &run(threads, forkable), &base);
+        }
+    }
+    base
+}
+
+/// Two dead links, each with its endpoints in different tiles. With 8
+/// PEs the load-aware split puts the tile boundaries at nodes 5 (2 tiles)
+/// and 3, 5, 8 (4 tiles), so 4-5 crosses a boundary at both counts, and
+/// so does row 1's wrap link 7-4.
+#[test]
+fn cross_tile_link_kills_match_sequential() {
+    let schedule = FaultConfig { seed: 0x11_4C, ..FaultConfig::default() }
+        .kill_link(DeadLink { node: 4, dir: 1, at: 30 })
+        .kill_link(DeadLink { node: 7, dir: 1, at: 200 });
+    let run = faulted_runs_match(
+        "link-kill",
+        |threads| cfg(8, threads),
+        || seeded_kernels(8, 0x4B11, 16),
+        schedule,
+    )
+    .expect("dead links are routed around");
+    assert_eq!(run.fault.links_killed, 2);
+    assert!(run.fabric_reroutes > 0, "traffic must hit a dead link");
+}
+
+/// Corrupted Message flits, recovered by resilient eMPI's NACK and
+/// retransmit; each tile's injector fork draws the corruptions of the
+/// PEs it owns.
+#[test]
+fn flit_corruption_with_resilient_empi_matches_sequential() {
+    let build = |threads: usize| {
+        SystemConfig::builder()
+            .compute_pes(8)
+            .cycle_limit(50_000_000)
+            .resilience(ResilienceConfig {
+                empi_retransmit: true,
+                empi_timeout: 10_000,
+                ..ResilienceConfig::off()
+            })
+            .host_threads(threads)
+            .build()
+            .unwrap()
+    };
+    let schedule =
+        FaultConfig { seed: 0xC0_22, flit_corrupt_ppm: 20_000, ..FaultConfig::default() };
+    let run = faulted_runs_match("corruption", build, || gather_kernels(8), schedule)
+        .expect("corruption is recovered");
+    assert!(run.fault.flits_corrupted > 0, "corruption never fired");
+    assert!(run.retransmits() > 0, "corrupted chunks must be retransmitted");
+}
+
+/// PE stall windows and bank service delays, drawn by each tile's fork.
+#[test]
+fn pe_stalls_and_bank_delays_match_sequential() {
+    let schedule = FaultConfig {
+        seed: 0x57A1,
+        pe_stall_ppm: 5_000,
+        pe_stall_cycles: 40,
+        bank_delay_ppm: 50_000,
+        bank_delay_cycles: 25,
+        ..FaultConfig::default()
+    };
+    let run = faulted_runs_match(
+        "stalls",
+        |threads| cfg_on(Topology::paper_4x4(), 10, 2, threads),
+        || seeded_kernels(10, 0x57A1, 16),
+        schedule,
+    )
+    .expect("stalls only slow the run down");
+    assert!(run.fault.pe_stalls > 0, "no PE stall fired");
+    assert!(run.fault.bank_delays > 0, "no bank delay fired");
+}
+
+/// A resilient receiver whose peer never sends NACK-spins until the
+/// watchdog fires. Corruptions and a link kill fill the recent-fault
+/// tail, which must merge from the tiles' logs to the same string.
+#[test]
+fn watchdog_error_and_fault_tail_match_sequential() {
+    let build = |threads: usize| {
+        SystemConfig::builder()
+            .compute_pes(2)
+            .cycle_limit(50_000_000)
+            .resilience(ResilienceConfig {
+                empi_retransmit: true,
+                empi_timeout: 1_000,
+                watchdog_cycles: 40_000,
+                ..ResilienceConfig::off()
+            })
+            .host_threads(threads)
+            .build()
+            .unwrap()
+    };
+    let kernels = || -> Vec<Kernel> {
+        vec![
+            kernel(move |api: PeApi| async move {
+                let _ = Empi::new(api).recv(Rank::new(1)).await; // peer never sends
+            }),
+            kernel(move |api: PeApi| async move {
+                Empi::new(api).compute(10).await;
+            }),
+        ]
+    };
+    let schedule = FaultConfig { seed: 0xD06, flit_corrupt_ppm: 100_000, ..FaultConfig::default() }
+        .kill_link(DeadLink { node: 1, dir: 1, at: 500 });
+    let err = faulted_runs_match("watchdog", build, kernels, schedule)
+        .expect_err("the livelock must trip the watchdog");
+    match &err {
+        RunError::Watchdog { detail, .. } => {
+            assert!(detail.contains("recent faults"), "fault tail missing: {detail}");
+        }
+        other => panic!("expected Watchdog, got {other}"),
     }
 }
