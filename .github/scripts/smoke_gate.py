@@ -5,12 +5,15 @@ Usage: python3 .github/scripts/smoke_gate.py [DIR]
 
 DIR (default /tmp) holds the outputs of these harness runs:
 
+  sim_speed_json DIR/BENCH_sim_speed.json
   trace_json --workload pingpong DIR/BENCH_trace.json
   scaling_json --smoke DIR/BENCH_scaling.json
   scaling_json --smoke --engine-threads 4 DIR/BENCH_scaling_parallel.json
   metrics_json --smoke --heatmap DIR/BENCH_heatmap.html DIR/BENCH_metrics.json
 
-Only counts and deterministic structure are gated; wall-clock is not.
+Counts and deterministic structure are gated. Wall-clock is gated only as
+the engine-over-reference speedup of BENCH_sim_speed.json, a ratio of two
+engines measured in one process on one host.
 """
 import json
 import os
@@ -33,6 +36,24 @@ def check_trace():
     tracks = [e for e in events if e.get('name') == 'thread_name']
     assert len(tracks) >= 2, 'pingpong must produce per-node tracks'
     print(f"{len(real)} events on {len(tracks)} tracks: OK")
+
+
+# System::run over System::run_reference, per sim_speed row.
+MIN_ENGINE_SPEEDUP = 2.0
+
+
+def check_sim_speed():
+    """Engine-over-reference simulation speed, per workload."""
+    doc = json.load(open(path('BENCH_sim_speed.json')))
+    assert doc['host_cores'] >= 1 and doc['rustc'], doc
+    rows = doc['workloads']
+    names = {r['name'] for r in rows}
+    assert 'jacobi_62x62_15pe_hybrid' in names, names
+    for row in rows:
+        assert row['speedup'] >= MIN_ENGINE_SPEEDUP, row
+        assert row['after_pe_ticks_per_cycle'] < row['before_pe_ticks_per_cycle'], row
+    worst = min(r['speedup'] for r in rows)
+    print(f"{len(rows)} sim_speed rows, engine/reference >= {worst:.2}x: OK")
 
 
 def check_parallel():
@@ -103,6 +124,6 @@ def check_resilience():
 
 
 if __name__ == '__main__':
-    for check in (check_trace, check_parallel, check_coherence, check_utilization,
+    for check in (check_sim_speed, check_trace, check_parallel, check_coherence, check_utilization,
                   check_resilience):
         check()

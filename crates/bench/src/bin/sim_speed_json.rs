@@ -5,12 +5,17 @@
 //! * **before**: [`System::run_reference`], the naive tick-everything
 //!   loop behind a `Box<dyn Fabric>` (the seed engine);
 //! * **after**: [`System::run`], the zero-allocation, activity-scheduled
-//!   engine with per-PE wake scheduling;
+//!   engine that parks every PE whose tick cannot change it;
 //!
 //! — and writes the results to `BENCH_sim_speed.json` (or the path given
-//! as the first argument). Both engines produce bit-identical
-//! architectural results (enforced by `tests/golden_determinism.rs` and
-//! the `engine_equivalence` unit test); only wall-clock differs.
+//! as the first argument), with the host's core count and the compiler
+//! version. Both engines produce bit-identical architectural results
+//! (enforced by `tests/golden_determinism.rs` and the `engine_equivalence`
+//! unit tests); only wall-clock and the PE ticks executed
+//! ([`RunResult::pe_ticks`]) differ. Each row records the PE ticks per
+//! simulated cycle of both engines, the host work of the PE-tick layer.
+//! Both engines run in this one process, so the speedup is a same-host
+//! ratio; `.github/scripts/smoke_gate.py` gates it per row.
 
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_bench::base_builder;
@@ -28,6 +33,8 @@ struct Measurement {
     cycles: u64,
     before_cps: f64,
     after_cps: f64,
+    before_ticks: u64,
+    after_ticks: u64,
 }
 
 impl Measurement {
@@ -36,15 +43,18 @@ impl Measurement {
     }
 }
 
-fn best_rate(mut run: impl FnMut() -> RunResult) -> (u64, f64) {
+/// `(cycles, PE ticks, best rate)` over [`REPS`] runs.
+fn best_rate(mut run: impl FnMut() -> RunResult) -> (u64, u64, f64) {
     let mut cycles = 0;
+    let mut ticks = 0;
     let mut best = 0.0f64;
     for _ in 0..REPS {
         let result = run();
         cycles = result.cycles;
+        ticks = result.pe_ticks;
         best = best.max(result.sim_rate());
     }
-    (cycles, best)
+    (cycles, ticks, best)
 }
 
 fn measure(
@@ -53,12 +63,12 @@ fn measure(
     preload: &[(u32, u32)],
     kernels: impl Fn() -> Vec<Kernel>,
 ) -> Measurement {
-    let (cycles_b, before_cps) =
+    let (cycles_b, before_ticks, before_cps) =
         best_rate(|| System::run_reference(cfg, preload, kernels()).expect("reference run"));
-    let (cycles_a, after_cps) =
+    let (cycles_a, after_ticks, after_cps) =
         best_rate(|| System::run(cfg, preload, kernels()).expect("optimized run"));
     assert_eq!(cycles_a, cycles_b, "{name}: engines must simulate identical cycle counts");
-    Measurement { name, cycles: cycles_a, before_cps, after_cps }
+    Measurement { name, cycles: cycles_a, before_cps, after_cps, before_ticks, after_ticks }
 }
 
 fn pingpong_kernels(rounds: u32) -> Vec<Kernel> {
@@ -136,6 +146,20 @@ fn main() {
         }));
     }
 
+    // The paper's machine and workload: 15 PEs on the 4x4 torus, hybrid
+    // Jacobi on the 62x62 grid (the host-speed benchmark's
+    // `jacobi_hybrid_4x4`). Most PEs sit blocked in memory waits and
+    // receives, the PE-parking showcase.
+    {
+        let cfg = base_builder().compute_pes(15).build().expect("config");
+        let workload = JacobiWorkload { jcfg: JacobiConfig::new(62, JacobiVariant::HybridFullMp) };
+        let prepared = workload.prepare(&cfg);
+        let preload = prepared.preload.clone();
+        rows.push(measure("jacobi_62x62_15pe_hybrid", &cfg, &preload, || {
+            workload.prepare(&cfg).kernels
+        }));
+    }
+
     // Ping-pong: latency-bound message traffic, fabric almost always
     // near-empty — exercises the activity-scheduled network tick.
     {
@@ -163,19 +187,26 @@ fn main() {
     json.push_str("  \"metric\": \"simulated_cycles_per_wall_second\",\n");
     json.push_str("  \"before\": \"System::run_reference (naive tick-everything engine)\",\n");
     json.push_str(
-        "  \"after\": \"System::run (zero-allocation, activity-scheduled, per-PE wake)\",\n",
+        "  \"after\": \"System::run (zero-allocation, activity-scheduled, parked PEs)\",\n",
     );
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    json.push_str(&format!("  \"host_cores\": {cores},\n"));
+    json.push_str("  \"host_threads\": 1,\n");
+    json.push_str(&format!("  \"rustc\": \"{}\",\n", env!("MEDEA_BENCH_RUSTC")));
     json.push_str(&format!("  \"reps_per_engine\": {REPS},\n"));
     json.push_str("  \"workloads\": [\n");
     for (i, m) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"simulated_cycles\": {}, \"before_cps\": {:.0}, \
-             \"after_cps\": {:.0}, \"speedup\": {:.2}}}{}\n",
+             \"after_cps\": {:.0}, \"speedup\": {:.2}, \"before_pe_ticks_per_cycle\": {:.2}, \
+             \"after_pe_ticks_per_cycle\": {:.2}}}{}\n",
             m.name,
             m.cycles,
             m.before_cps,
             m.after_cps,
             m.speedup(),
+            m.before_ticks as f64 / m.cycles as f64,
+            m.after_ticks as f64 / m.cycles as f64,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -185,12 +216,15 @@ fn main() {
     println!("{json}");
     for m in &rows {
         println!(
-            "{:<28} {:>12} cycles  before {:>12.0} c/s  after {:>12.0} c/s  speedup {:>5.2}x",
+            "{:<28} {:>12} cycles  before {:>12.0} c/s  after {:>12.0} c/s  speedup {:>5.2}x  \
+             PE ticks/cycle {:.2} -> {:.2}",
             m.name,
             m.cycles,
             m.before_cps,
             m.after_cps,
-            m.speedup()
+            m.speedup(),
+            m.before_ticks as f64 / m.cycles as f64,
+            m.after_ticks as f64 / m.cycles as f64,
         );
     }
     let best = rows.iter().map(Measurement::speedup).fold(0.0f64, f64::max);

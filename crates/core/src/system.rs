@@ -29,13 +29,17 @@
 //!   every cross-tile effect merged in fixed tile-index order, so results
 //!   are **bit-identical** at every thread count
 //!   (`tests/parallel_equivalence.rs`). The fabric is statically
-//!   dispatched, PEs are wake-scheduled (a PE parked in a pure time stall
-//!   until cycle `t` is not ticked across the intervening cycles, even
-//!   while the fabric or other PEs stay busy), ejection delivery is gated
-//!   on the fabric's O(1) flit census, and the whole system fast-forwards
-//!   across cycles in which every component is provably idle — the
-//!   optimizations that make the 168-point exploration cheap, standing in
-//!   for the paper's 15× SystemC-over-HDL speedup.
+//!   dispatched, and a PE is ticked only when the tick can change it: a
+//!   PE in a pure time stall sleeps until the stall ends, and a PE
+//!   blocked on the fabric (a memory wait, a lock backoff, a `recv`) is
+//!   parked until a flit is delivered to it or its bridge's timer expires,
+//!   with the wait counters its skipped ticks would have bumped credited
+//!   ([`RunResult::pe_ticks`] counts the ticks executed). Ejection
+//!   delivery is gated on the fabric's O(1) flit census, and the whole
+//!   system fast-forwards across cycles in which every component is
+//!   provably idle — the optimizations that make the 168-point
+//!   exploration cheap, standing in for the paper's 15× SystemC-over-HDL
+//!   speedup.
 //! * [`System::run_reference`] — the naive tick-everything loop behind a
 //!   `Box<dyn Fabric>` over the frozen seed fabric, kept as the
 //!   behavioral oracle: both engines must produce bit-identical results
@@ -248,6 +252,14 @@ pub struct RunResult {
     /// capture is incomplete and should be distrusted. Always zero for
     /// in-memory sinks.
     pub trace_drops: u64,
+    /// PE ticks the engine executed. This is host work, not model state:
+    /// [`System::run`] parks a PE whose tick cannot change it, so its
+    /// count falls below [`System::run_reference`]'s (every PE ticked on
+    /// every executed cycle) while every simulated result stays
+    /// bit-identical. Like [`RunResult::wall`], it is left out of the
+    /// reference comparisons; unlike it, it is deterministic and the same
+    /// at every host thread count.
+    pub pe_ticks: u64,
     /// Host wall-clock time of the run.
     pub wall: Duration,
 }
@@ -453,6 +465,7 @@ impl System {
 
         let wall_start = Instant::now();
         let mut now: Cycle = 0;
+        let mut pe_ticks = 0;
         loop {
             // 1. Deliver ejections.
             for pe in &mut pes {
@@ -467,6 +480,7 @@ impl System {
             for pe in &mut pes {
                 pe.tick(now);
             }
+            pe_ticks += pes.len() as u64;
             banks_tick(&mut banks, now, false, &mut NullSink, &mut NullInjector);
 
             // 3. Inject (one flit per node per cycle).
@@ -511,7 +525,8 @@ impl System {
             now += 1;
         }
 
-        Ok(finish_result(now, &pes, fabric.stats(), &banks, wall_start, FaultStats::default()))
+        let fault = FaultStats::default();
+        Ok(finish_result(now, &pes, fabric.stats(), &banks, pe_ticks, wall_start, fault))
     }
 }
 
@@ -825,6 +840,7 @@ pub(crate) fn finish_result(
     pes: &[ProcessingElement],
     fstats: &medea_noc::FabricStats,
     banks: &[Bank],
+    pe_ticks: u64,
     wall_start: Instant,
     fault: FaultStats,
 ) -> RunResult {
@@ -875,6 +891,7 @@ pub(crate) fn finish_result(
         // reference engine never records either.
         metrics: None,
         trace_drops: 0,
+        pe_ticks,
         wall: wall_start.elapsed(),
     }
 }
@@ -1238,6 +1255,42 @@ mod tests {
         ]
     }
 
+    /// Every [`PeStats`] counter of every PE agrees between the engine and
+    /// the reference (the destructuring makes a new counter a compile
+    /// error here until it is compared too). The wait counters the engine
+    /// credits to parked PEs are among them.
+    fn assert_pe_stats_match(label: &str, fast: &RunResult, slow: &RunResult) {
+        assert_eq!(fast.pe.len(), slow.pe.len(), "{label}: pe count");
+        for (i, (a, b)) in fast.pe.iter().zip(&slow.pe).enumerate() {
+            let PeStats {
+                requests,
+                compute_cycles,
+                mem_cycles,
+                send_cycles,
+                recv_wait_cycles,
+                packets_sent,
+                packets_received,
+                retransmits,
+                nacks_sent,
+            } = a.engine;
+            let r = &b.engine;
+            let pairs = [
+                ("requests", requests, r.requests),
+                ("compute_cycles", compute_cycles, r.compute_cycles),
+                ("mem_cycles", mem_cycles, r.mem_cycles),
+                ("send_cycles", send_cycles, r.send_cycles),
+                ("recv_wait_cycles", recv_wait_cycles, r.recv_wait_cycles),
+                ("packets_sent", packets_sent, r.packets_sent),
+                ("packets_received", packets_received, r.packets_received),
+                ("retransmits", retransmits, r.retransmits),
+                ("nacks_sent", nacks_sent, r.nacks_sent),
+            ];
+            for (name, x, y) in pairs {
+                assert_eq!(x.get(), y.get(), "{label}: pe{i} {name}");
+            }
+        }
+    }
+
     #[test]
     fn engine_equivalence() {
         // The scheduled engine and the naive reference engine must agree
@@ -1267,14 +1320,139 @@ mod tests {
             assert_eq!(fast.fabric_max_latency, slow.fabric_max_latency, "{fabric:?}");
             assert_eq!(fast.fabric_mean_latency, slow.fabric_mean_latency, "{fabric:?}");
             assert_eq!(fast.mpmmu.single_writes.get(), slow.mpmmu.single_writes.get());
+            assert_pe_stats_match(&format!("{fabric:?}@{threads}"), &fast, &slow);
             for (a, b) in fast.pe.iter().zip(&slow.pe) {
-                assert_eq!(a.engine.requests.get(), b.engine.requests.get());
-                assert_eq!(a.engine.compute_cycles.get(), b.engine.compute_cycles.get());
-                assert_eq!(a.engine.recv_wait_cycles.get(), b.engine.recv_wait_cycles.get());
-                assert_eq!(a.engine.send_cycles.get(), b.engine.send_cycles.get());
                 assert_eq!(a.cache.load_hits.get(), b.cache.load_hits.get());
                 assert_eq!(a.bridge.transactions.get(), b.bridge.transactions.get());
             }
+        }
+    }
+
+    #[test]
+    fn engine_equivalence_on_lock_contention_and_long_recv() {
+        // Lock contention parks PEs in the bridge's backoff; a long recv
+        // parks one until the message lands. Both credit wait counters.
+        const COUNTER: u32 = 0x100;
+        const LOCK: u32 = 0x200;
+        let contended = || -> Vec<Kernel> {
+            (0..4)
+                .map(|r| {
+                    kernel(move |api: PeApi| async move {
+                        for _ in 0..6 {
+                            api.lock(LOCK).await;
+                            let v = api.uncached_load_u32(COUNTER).await;
+                            api.compute(40 + 7 * r as u64).await;
+                            api.uncached_store_u32(COUNTER, v + 1).await;
+                            api.unlock(LOCK).await;
+                        }
+                    })
+                })
+                .collect()
+        };
+        let long_recv = || -> Vec<Kernel> {
+            vec![
+                kernel(move |api: PeApi| async move {
+                    let words = api.recv_from_rank(Rank::new(1)).await;
+                    assert_eq!(words, vec![5, 6]);
+                }),
+                kernel(move |api: PeApi| async move {
+                    api.compute(30_000).await;
+                    api.load_u32(0x40).await;
+                    api.send_to_rank(Rank::new(0), &[5, 6]).await;
+                }),
+            ]
+        };
+        type Case = (&'static str, usize, fn() -> Vec<Kernel>);
+        let cases: [Case; 2] = [("lock", 4, contended), ("recv", 2, long_recv)];
+        for (name, pes, kernels) in cases {
+            let slow = System::run_reference(&cfg(pes), &[], kernels()).unwrap();
+            for threads in [1, 2] {
+                let sys = SystemConfig::builder()
+                    .compute_pes(pes)
+                    .cycle_limit(5_000_000)
+                    .host_threads(threads)
+                    .build()
+                    .unwrap();
+                let fast = System::run(&sys, &[], kernels()).unwrap();
+                let label = format!("{name}@{threads}");
+                assert_eq!(fast.cycles, slow.cycles, "{label}");
+                assert_eq!(fast.fabric_delivered, slow.fabric_delivered, "{label}");
+                assert_eq!(fast.mpmmu.lock_nacks.get(), slow.mpmmu.lock_nacks.get(), "{label}");
+                assert_pe_stats_match(&label, &fast, &slow);
+                assert!(fast.pe_ticks < slow.pe_ticks, "{label}: nothing was parked");
+            }
+            if name == "lock" {
+                assert!(slow.mpmmu.lock_nacks.get() > 0, "the lock case must contend");
+            } else {
+                assert!(slow.pe[0].engine.recv_wait_cycles.get() > 30_000);
+            }
+        }
+    }
+
+    #[test]
+    fn parked_recv_costs_constant_ticks() {
+        // Rank 0 waits about 100,000 cycles in recv while rank 1 computes.
+        // Rank 0 is parked for the whole wait, and rank 1's time stall
+        // sleeps, so the run ticks its PEs a handful of times, whatever
+        // the host thread count.
+        let kernels = || -> Vec<Kernel> {
+            vec![
+                kernel(move |api: PeApi| async move {
+                    let _ = api.recv_from_rank(Rank::new(1)).await;
+                }),
+                kernel(move |api: PeApi| async move {
+                    api.compute(100_000).await;
+                    api.send_to_rank(Rank::new(0), &[1]).await;
+                }),
+            ]
+        };
+        let ticks = [1, 2].map(|threads| {
+            let sys = SystemConfig::builder()
+                .compute_pes(2)
+                .cycle_limit(5_000_000)
+                .host_threads(threads)
+                .build()
+                .unwrap();
+            let run = System::run(&sys, &[], kernels()).unwrap();
+            assert!(run.cycles > 100_000);
+            assert!(run.pe[0].engine.recv_wait_cycles.get() > 100_000);
+            run.pe_ticks
+        });
+        assert!(ticks[0] < 50, "a parked recv must cost O(1) ticks, got {}", ticks[0]);
+        assert_eq!(ticks[0], ticks[1], "pe_ticks must not depend on the tile count");
+        let reference = System::run_reference(&cfg(2), &[], kernels()).unwrap();
+        assert!(reference.pe_ticks > 200_000, "the reference ticks every PE every cycle");
+    }
+
+    #[test]
+    fn watchdog_sees_through_a_parked_recv() {
+        // Rank 0 blocks forever in recv (parked: the engine stops ticking
+        // it) while rank 1 spins on one-cycle computes that serve nothing.
+        // The parked PE must not pass for a healthy timed stall, so the
+        // watchdog fires as it does when every PE is ticked.
+        for threads in [1, 2] {
+            let sys = SystemConfig::builder()
+                .compute_pes(2)
+                .cycle_limit(1_000_000)
+                .host_threads(threads)
+                .resilience(crate::ResilienceConfig {
+                    watchdog_cycles: 5_000,
+                    ..crate::ResilienceConfig::default()
+                })
+                .build()
+                .unwrap();
+            let kernels = vec![
+                kernel(move |api: PeApi| async move {
+                    let _ = api.recv_from_rank(Rank::new(1)).await;
+                }),
+                kernel(move |api: PeApi| async move {
+                    loop {
+                        api.compute(1).await;
+                    }
+                }),
+            ];
+            let err = System::run(&sys, &[], kernels).unwrap_err();
+            assert!(matches!(err, RunError::Watchdog { .. }), "{threads} threads: {err}");
         }
     }
 

@@ -49,6 +49,21 @@
 //!   agent that drains the fault injector's link-kill schedule, so the
 //!   scheduled-fault stream is consumed in the same order for every `T`.
 //!
+//! # Which PEs a cycle ticks
+//!
+//! A tile keeps a wake schedule for its PEs (`Slot`) and ticks a PE only
+//! when the tick can change it, as `ProcessingElement::next_tick` says: a
+//! PE in a time stall sleeps until the stall ends (a directory probe wakes
+//! it earlier), and a PE blocked on the fabric is parked until a flit is
+//! delivered to it — woken in the same cycle, before the tick phase — or
+//! its bridge's timer expires. A parked blocked PE is credited, at its
+//! next tick, the wait counters its skipped ticks would have bumped, one
+//! per *executed* cycle (a quiet fast-forward jump executes none, in the
+//! reference engine too). Parking depends only on model state, so the
+//! ticks executed ([`RunResult::pe_ticks`]) are the same for every `T`.
+//! With an active fault injector only time stalls sleep, as the PE-stall
+//! hook must be consulted on every cycle a blocked PE would be awake.
+//!
 //! `tests/parallel_equivalence.rs` pins all of this: identical
 //! [`RunResult`]s, error details and trace captures at every thread
 //! count, including the golden paper-4×4 fingerprints, and
@@ -70,7 +85,7 @@ use medea_noc::flit::{Flit, PacketKind, SubKind};
 use medea_noc::ideal::IdealNetwork;
 use medea_noc::network::Network;
 use medea_noc::{Fabric, FabricStats};
-use medea_pe::pe::ProcessingElement;
+use medea_pe::pe::{NextTick, ProcessingElement};
 use medea_sim::ids::NodeId;
 use medea_sim::par::Phaser;
 use medea_sim::Cycle;
@@ -132,21 +147,62 @@ struct Tile<F> {
     /// `i` is global slot `base + i`.
     pe_base: usize,
     bank_base: usize,
-    /// Per-PE wake schedule: the cycle at which each PE must next be
-    /// ticked. A PE parked in a pure time stall (drained bridge and
-    /// arbiter — see `ProcessingElement::sleep_until`) is skipped
-    /// entirely until its wake cycle; for such a PE a tick is provably a
-    /// no-op and it cannot inject, so skipping is bit-identical to the
-    /// reference engine's tick-everything loop.
-    wake: Vec<Cycle>,
-    ticked: Vec<bool>,
+    /// Per-PE wake schedule, in tile-local PE order.
+    slots: Vec<Slot>,
     live: usize,
+    /// Cycles this tile has executed; the index of the current one while
+    /// it runs. Quiet fast-forward jumps skip cycles without executing
+    /// them (for every engine alike), so parked PEs are credited in
+    /// executed cycles, not elapsed ones.
+    executed: u64,
+    /// PE ticks executed (host work, reported as `RunResult::pe_ticks`).
+    pe_ticks: u64,
     /// `(cycle, phase, event)` with phase 0 = link kills, 1 = flit
     /// corruptions, 2 = PE stalls — the within-cycle hook order, so the
     /// merged log sorted by `(cycle, phase, tile)` is the order one tile
     /// would have pushed. Capped at [`FAULT_LOG_CAP`] per tile, which is
     /// provably a superset of the global last-`FAULT_LOG_CAP`.
     fault_log: VecDeque<(Cycle, u8, TraceEvent)>,
+}
+
+/// A PE's place in its tile's wake schedule.
+///
+/// A PE whose tick is provably a no-op is *parked* — not ticked — until
+/// its wake cycle (see `ProcessingElement::next_tick`):
+///
+/// * parked *idle* (a pure time stall, or retired) it sleeps until the
+///   stall ends; only a directory probe delivered to it wakes it earlier;
+/// * parked *blocked* (a memory wait whose bridge awaits a response or
+///   sits out a lock backoff, or a `recv` with no matching packet) it
+///   sleeps until its bridge's timer expires or any flit is delivered to
+///   it, and the wait counter each skipped tick would have bumped is
+///   credited at its next tick (or when the run stops).
+///
+/// A parked PE has a drained arbiter, so it cannot inject, and skipping
+/// its ticks is bit-identical to the reference engine's tick-everything
+/// loop. Blocked parking is off under an active fault injector: the
+/// PE-stall hook is consulted on every cycle a PE is awake, and skipping
+/// those consultations would change the fault schedule.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// The cycle at which the PE must next be ticked.
+    wake: Cycle,
+    /// While the PE is parked blocked, the tile's executed-cycle index of
+    /// its last tick.
+    blocked_since: Option<u64>,
+    /// Whether the PE ticked this cycle (only a ticked PE can offer a
+    /// flit to the fabric).
+    ticked: bool,
+}
+
+impl Slot {
+    /// Credit `pe` with the ticks it skipped while parked blocked, up to
+    /// (not including) executed cycle `executed`, and unpark it.
+    fn settle(&mut self, pe: &mut ProcessingElement, executed: u64) {
+        if let Some(since) = self.blocked_since.take() {
+            pe.credit_skipped(executed - since - 1);
+        }
+    }
 }
 
 /// Build one tile per fabric shard, tile `i` owning nodes
@@ -175,9 +231,10 @@ fn build_tiles<F>(
                 fabric,
                 pe_base: pes.len(),
                 bank_base: banks.len(),
-                wake: vec![0; own_pes.len()],
-                ticked: vec![false; own_pes.len()],
+                slots: vec![Slot::default(); own_pes.len()],
                 live: own_pes.len(),
+                executed: 0,
+                pe_ticks: 0,
                 pes: own_pes,
                 banks: own_banks,
                 fault_log: VecDeque::new(),
@@ -277,10 +334,14 @@ fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
                 if S::ACTIVE {
                     sink.record(now, delivered_event(node, &flit, now));
                 }
-                // A directory probe must wake even a parked or retired PE:
-                // the home bank blocks until it is answered.
-                if flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request {
-                    tile.wake[i] = now;
+                // Any delivery can end a blocked PE's wait, and a directory
+                // probe must wake even an idle or retired PE: the home bank
+                // blocks until it is answered.
+                let slot = &mut tile.slots[i];
+                if slot.blocked_since.is_some()
+                    || (flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request)
+                {
+                    slot.wake = now;
                 }
                 pe.deliver_traced(flit, now, sink);
             }
@@ -290,11 +351,11 @@ fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
 
     // 2. Tick runnable components (a bank's tick is a no-op while it is
     // idle, so it is skipped then too).
-    for (i, pe) in tile.pes.iter_mut().enumerate() {
-        if I::ACTIVE && tile.wake[i] <= now && !pe.is_done() {
+    for (i, (pe, slot)) in tile.pes.iter_mut().zip(&mut tile.slots).enumerate() {
+        if I::ACTIVE && slot.wake <= now && !pe.is_done() {
             let stall = injector.pe_stall(now, pe.node().index() as u16);
             if stall > 0 {
-                tile.wake[i] = now + Cycle::from(stall);
+                slot.wake = now + Cycle::from(stall);
                 let event =
                     TraceEvent::FaultPeStall { node: pe.node().index() as u16, cycles: stall };
                 if S::ACTIVE {
@@ -303,13 +364,15 @@ fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
                 push_fault(&mut tile.fault_log, now, 2, event);
             }
         }
-        if tile.wake[i] > now {
-            tile.ticked[i] = false;
+        if slot.wake > now {
+            slot.ticked = false;
             continue;
         }
-        tile.ticked[i] = true;
+        slot.ticked = true;
+        slot.settle(pe, tile.executed);
         let was_done = pe.is_done();
         pe.tick_traced(now, sink);
+        tile.pe_ticks += 1;
         if M::ACTIVE {
             // Interval attribution: the recorder charges the span since
             // this PE's previous tick to its previous activity, so skipped
@@ -319,9 +382,13 @@ fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
         if !was_done && pe.is_done() {
             tile.live -= 1;
         }
-        tile.wake[i] = match pe.sleep_until() {
-            Some(t) => t.max(now + 1),
-            None => now + 1,
+        slot.wake = match pe.next_tick() {
+            NextTick::Idle(t) => t.max(now + 1),
+            NextTick::Blocked(t) if !I::ACTIVE => {
+                slot.blocked_since = Some(tile.executed);
+                t.max(now + 1)
+            }
+            NextTick::Blocked(_) | NextTick::Now => now + 1,
         };
     }
     banks_tick(&mut tile.banks, now, true, sink, injector);
@@ -330,8 +397,8 @@ fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
     // arbiter by construction, so only ticked PEs can have traffic to
     // offer. The composite uid the fabric stamps keeps arbitration
     // independent of how the nodes are split into tiles.
-    for (i, pe) in tile.pes.iter_mut().enumerate() {
-        if !tile.ticked[i] {
+    for (pe, slot) in tile.pes.iter_mut().zip(&tile.slots) {
+        if !slot.ticked {
             continue;
         }
         if let Some(flit) = pe.select_inject() {
@@ -352,6 +419,7 @@ fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
     // 4. Fabric (activity-scheduled internally; a drained fabric ticks in
     // constant time). A shard's boundary latches become exports.
     tile.fabric.tick_metered(now, sink, meter);
+    tile.executed += 1;
 }
 
 impl<F: Fabric> Tile<F> {
@@ -359,10 +427,15 @@ impl<F: Fabric> Tile<F> {
     /// `exported` boundary flits already handed to neighbor tiles.
     fn report(&self, now: Cycle, exported: usize, watchdog: bool) -> TileReport {
         let in_flight = self.fabric.in_flight() + exported;
+        // A PE parked blocked is not a healthy timed stall: the reference
+        // engine ticks it every cycle, and counting it would let parking
+        // mask a livelock from the watchdog.
         let (fingerprint, timed_stall) = if watchdog {
             (
                 progress_fingerprint(&self.pes, &self.banks),
-                self.pes.iter().zip(&self.wake).any(|(pe, &w)| !pe.is_done() && w > now + 1),
+                self.pes.iter().zip(&self.slots).any(|(pe, slot)| {
+                    !pe.is_done() && slot.wake > now + 1 && slot.blocked_since.is_none()
+                }),
             )
         } else {
             (0, false)
@@ -503,7 +576,16 @@ fn conclude<F: Fabric>(
     let mut banks: Vec<Bank> = Vec::new();
     let mut fstats = FabricStats::default();
     let mut log_entries: Vec<(Cycle, u8, usize, usize, TraceEvent)> = Vec::new();
-    for tile in tiles {
+    let mut pe_ticks = 0;
+    for mut tile in tiles {
+        // Credit the PEs still parked blocked for the cycles since their
+        // last tick, so every statistic read from here on is the one the
+        // reference engine would hold. (A finished run has retired every
+        // PE; only a run stopped early can leave one parked.)
+        for (pe, slot) in tile.pes.iter_mut().zip(&mut tile.slots) {
+            slot.settle(pe, tile.executed);
+        }
+        pe_ticks += tile.pe_ticks;
         fstats.merge(tile.fabric.stats());
         for (seq, &(cycle, phase, event)) in tile.fault_log.iter().enumerate() {
             log_entries.push((cycle, phase, tile.index, seq, event));
@@ -518,7 +600,9 @@ fn conclude<F: Fabric>(
         .map(|&(cycle, _, _, _, event)| (cycle, event))
         .collect();
     match cause {
-        StopCause::Done => Ok(finish_result(at, &pes, &fstats, &banks, wall_start, fault)),
+        StopCause::Done => {
+            Ok(finish_result(at, &pes, &fstats, &banks, pe_ticks, wall_start, fault))
+        }
         StopCause::CycleLimit { in_flight } => Err(RunError::CycleLimit {
             limit: cfg.cycle_limit(),
             detail: stall_detail(&pes, &banks, in_flight, &fault_log),

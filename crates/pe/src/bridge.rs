@@ -257,6 +257,24 @@ impl Pif2NocBridge {
         }
     }
 
+    /// While the bridge's tick is a no-op and it holds nothing for the PE
+    /// or the arbiter: the cycle at which its tick next acts on its own (a
+    /// lock backoff or a read's response deadline expiring), or
+    /// `Cycle::MAX` when only a delivered response can move it. `None`
+    /// when its next tick may act (streaming, or a response clock still
+    /// to arm) or when it holds an output flit or a result.
+    pub fn idle_until(&self) -> Option<Cycle> {
+        if self.out_slot.is_some() || self.result.is_some() {
+            return None;
+        }
+        match self.state {
+            State::Streaming { .. } => None,
+            State::LockBackoff { until, .. } => Some(until),
+            _ if self.retry_op.is_some() => self.deadline,
+            _ => Some(Cycle::MAX),
+        }
+    }
+
     /// Start a transaction.
     ///
     /// # Panics

@@ -80,6 +80,20 @@ pub struct PeStats {
     pub nacks_sent: Counter,
 }
 
+/// When the next tick of a PE can matter ([`ProcessingElement::next_tick`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NextTick {
+    /// The next cycle's tick may change state or offer a flit.
+    Now,
+    /// Every tick before this cycle is an exact no-op (`Cycle::MAX` for a
+    /// retired PE); only a directory probe can need the PE earlier.
+    Idle(Cycle),
+    /// Every tick before this cycle (`Cycle::MAX`: no timer is running)
+    /// or before a flit is delivered to the PE, whichever comes first,
+    /// only bumps a wait counter.
+    Blocked(Cycle),
+}
+
 /// Fast-forward hint: what the PE is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wakeup {
@@ -335,23 +349,52 @@ impl ProcessingElement {
         }
     }
 
-    /// If ticking this PE is provably a no-op until a known cycle, that
-    /// cycle (`Cycle::MAX` for a retired PE) — the per-PE wake-scheduling
-    /// hook of the cycle engine.
+    /// When the next tick of this PE can matter — the wake-scheduling
+    /// hook of the cycle engine (see [`NextTick`]).
     ///
-    /// Eligibility is deliberately strict: the engine may skip `tick`
-    /// calls only while the PE sits in a pure time stall (or is done)
-    /// *and* its bridge and arbiter are completely drained, because then
-    /// a tick performs no state change and no statistics update, and the
-    /// PE cannot inject traffic. Message deliveries to a sleeping PE only
-    /// buffer into the TIE receiver and never shorten a time stall, so a
-    /// computed wake time stays valid until the next tick.
-    pub fn sleep_until(&self) -> Option<Cycle> {
-        let drained = self.arbiter.occupancy() == 0 && !self.bridge.is_busy() && self.coh.is_idle();
+    /// Only states whose tick provably changes nothing qualify, and all of
+    /// them need a drained arbiter, an empty bridge output latch and an
+    /// idle coherence responder, so a parked PE offers no traffic:
+    ///
+    /// * [`NextTick::Idle`] — a pure time stall until its end, or a
+    ///   retired PE until `Cycle::MAX`, with the bridge idle. A tick
+    ///   changes no state and no statistic, and a message delivered
+    ///   meanwhile only buffers into the TIE receiver, so only a directory
+    ///   probe can need the PE earlier.
+    /// * [`NextTick::Blocked`] — a cached miss past its access phase, or
+    ///   an uncached access, lock or unlock, whose bridge awaits a response
+    ///   (its lock backoff or read deadline bounds the wait), or a `recv`
+    ///   with no matching packet completed. A tick only bumps the wait
+    ///   counter [`ProcessingElement::credit_skipped`] credits, until a
+    ///   delivered flit or the bridge's own timer changes something.
+    pub fn next_tick(&self) -> NextTick {
+        if self.arbiter.occupancy() > 0 || self.bridge.has_output() || !self.coh.is_idle() {
+            return NextTick::Now;
+        }
+        let bridge_idle = !self.bridge.is_busy();
         match &self.exec {
-            Exec::Stall { until, .. } if drained => Some(*until),
-            Exec::Done if drained => Some(Cycle::MAX),
-            _ => None,
+            Exec::Stall { until, .. } if bridge_idle => NextTick::Idle(*until),
+            Exec::Done if bridge_idle => NextTick::Idle(Cycle::MAX),
+            Exec::Recv { from } if bridge_idle && !self.rx.has_packet(*from) => {
+                NextTick::Blocked(Cycle::MAX)
+            }
+            Exec::Mem(MemExec { phase: MemPhase::Access, .. }) => NextTick::Now,
+            Exec::Mem(_) | Exec::BridgeWait { .. } => {
+                self.bridge.idle_until().map_or(NextTick::Now, NextTick::Blocked)
+            }
+            _ => NextTick::Now,
+        }
+    }
+
+    /// Credit `ticks` skipped ticks of a PE parked [`NextTick::Blocked`]:
+    /// each would have bumped the wait counter of the state it is parked
+    /// in (`mem_cycles` for a memory wait, `recv_wait_cycles` for a
+    /// receive). Call before the PE's next tick.
+    pub fn credit_skipped(&mut self, ticks: u64) {
+        match self.exec {
+            Exec::Mem(_) | Exec::BridgeWait { .. } => self.stats.mem_cycles.add(ticks),
+            Exec::Recv { .. } => self.stats.recv_wait_cycles.add(ticks),
+            _ => debug_assert_eq!(ticks, 0, "credit for a PE that was not parked blocked"),
         }
     }
 
@@ -1191,6 +1234,49 @@ mod tests {
             }
         });
         run_with_magic_memory(&mut pe, 200);
+    }
+
+    #[test]
+    fn blocked_recv_parks_and_credits_its_wait() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Recv { from: None }).await;
+        });
+        pe.tick(0);
+        assert_eq!(pe.next_tick(), NextTick::Blocked(Cycle::MAX));
+        let waited = pe.stats().recv_wait_cycles.get();
+        pe.credit_skipped(10);
+        assert_eq!(pe.stats().recv_wait_cycles.get(), waited + 10);
+    }
+
+    #[test]
+    fn lock_wait_parks_on_delivery_then_until_the_retry() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Lock { addr: 0x300 }).await;
+        });
+        pe.tick(0); // the request enters the bridge's output latch
+        assert_eq!(pe.next_tick(), NextTick::Now);
+        pe.tick(1); // latch -> arbiter
+        assert_eq!(pe.next_tick(), NextTick::Now, "a queued flit keeps the PE awake");
+        let req = pe.select_inject().expect("lock request");
+        assert_eq!(pe.next_tick(), NextTick::Blocked(Cycle::MAX));
+        pe.deliver(Flit::new(req.dest(), PacketKind::Lock, SubKind::Nack, 0, 0, 0, 0), 2);
+        pe.tick(2);
+        let retry_at = 2 + BridgeConfig::default().lock_retry_backoff;
+        assert_eq!(pe.next_tick(), NextTick::Blocked(retry_at));
+        let waited = pe.stats().mem_cycles.get();
+        pe.credit_skipped(5);
+        assert_eq!(pe.stats().mem_cycles.get(), waited + 5);
+    }
+
+    #[test]
+    fn time_stall_and_retirement_idle() {
+        let mut pe = pe_with(cfg(1), |port| async move {
+            port.call(PeRequest::Compute { cycles: 100 }).await;
+        });
+        pe.tick(0);
+        assert_eq!(pe.next_tick(), NextTick::Idle(100));
+        pe.tick(100);
+        assert_eq!(pe.next_tick(), NextTick::Idle(Cycle::MAX));
     }
 
     #[test]
