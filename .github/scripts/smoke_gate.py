@@ -59,6 +59,7 @@ def check_sim_speed():
 def check_parallel():
     """parallel_engine section of the sweep at 4 engine threads."""
     doc = json.load(open(path('BENCH_scaling_parallel.json')))
+    assert doc['host_cores'] >= 1 and doc['rustc'], doc
     assert doc['sweep_engine_threads'] == 4, doc['sweep_engine_threads']
     for topo in doc['topologies']:
         for row in topo['rows']:
@@ -98,6 +99,7 @@ def check_utilization():
     and the heatmap artifact."""
     for p in (path('BENCH_metrics.json'), path('BENCH_scaling.json')):
         doc = json.load(open(p))
+        assert doc['host_cores'] >= 1 and doc['rustc'], p
         rows = doc['utilization']['rows']
         assert rows, f'{p}: utilization must produce rows'
         for row in rows:

@@ -106,6 +106,9 @@ fn main() {
     doc.push_str("  \"benchmark\": \"metrics\",\n");
     doc.push_str("  \"metric\": \"cycle_attribution_and_sampled_utilization\",\n");
     doc.push_str(&format!("  \"mode\": \"{}\",\n", if args.smoke { "smoke" } else { "full" }));
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    doc.push_str(&format!("  \"host_cores\": {cores},\n"));
+    doc.push_str(&format!("  \"rustc\": \"{}\",\n", env!("MEDEA_BENCH_RUSTC")));
     doc.push_str(&format!("  \"sample_interval\": {},\n", args.interval));
     doc.push_str(
         "  \"utilization\": {\"workload\": \"paper-4x4 pingpong + mixed (locks, collectives, \

@@ -823,7 +823,10 @@ fn main() {
          self-scheduling queue, one flat sweep over all tiers)\",\n",
     );
     json.push_str("  \"workload\": \"jacobi hybrid-full-mp, 1 warmup + 1 measured iteration\",\n");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    json.push_str(&format!("  \"host_cores\": {cores},\n"));
     json.push_str(&format!("  \"host_threads\": {threads},\n"));
+    json.push_str(&format!("  \"rustc\": \"{}\",\n", env!("MEDEA_BENCH_RUSTC")));
     json.push_str(&format!("  \"sweep_engine_threads\": {engine_threads},\n"));
     json.push_str(&format!("  \"total_wall_s\": {total_wall:.2},\n"));
     match &validated {
@@ -1126,7 +1129,6 @@ fn main() {
     // the largest point must reach ≥ 3x cycles/sec at 8 threads (full)
     // or ≥ 1.5x at 4 threads (smoke). Bit-identity was asserted during
     // the measurement itself, ungated.
-    let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let (gate_threads, gate_factor) = if smoke { (4, 1.5) } else { (8, 3.0) };
     if cores >= gate_threads {
         let largest = parallel.last().expect("parallel engine measured");

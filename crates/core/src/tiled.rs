@@ -2,26 +2,30 @@
 //!
 //! [`run`] domain-decomposes the torus into `T` contiguous node ranges
 //! (tiles). Each tile owns a shard of the fabric ([`Network::shard`]) and
-//! the PEs and MPMMU banks whose nodes fall inside it, and one function,
-//! [`execute_cycle`], runs a tile's share of a simulated cycle: the same
-//! five phases, in the same order, for every tile count. One function,
-//! [`Clock::decide`], makes the end-of-cycle decision (termination, cycle
-//! limit, watchdog, quiet-cycle fast-forward, deadlock) from the tiles'
-//! reports.
+//! the PEs and MPMMU banks whose nodes fall inside it, and one loop,
+//! `cycle_loop`, runs every tile for every `T`: drain the cycle's link
+//! kills, run the tile's share of the cycle ([`execute_cycle`], the same
+//! five phases in the same order), cross the clock edge, then make the
+//! end-of-cycle decision ([`Clock::decide`]: termination, cycle limit,
+//! watchdog, quiet-cycle fast-forward, deadlock) on the whole system's
+//! report.
 //!
 //! `T = min(host_threads, nodes)`, except that the ideal fabric (which
 //! has no shard decomposition) and an injector that cannot be forked per
 //! tile ([`FaultInjector::fork_for_tile`]) run on one tile.
 //!
 //! * **One tile** runs on the calling thread over the whole fabric, with
-//!   the caller's sink, injector and meter: no barrier, no mailboxes, no
+//!   the caller's sink, injector and meter: no barrier, no outboxes, no
 //!   buffering.
-//! * **`T > 1` tiles** run one worker thread each. One spin barrier
-//!   ([`Phaser`]) per simulated cycle separates the cycles; **the barrier
-//!   is the clock edge**: everything a tile does between two barriers is
-//!   the work one tile does for the same components within one `now`, and
-//!   the only cross-tile traffic is the boundary link latches, exchanged
-//!   through per-directed-pair mailboxes.
+//! * **`T > 1` tiles** run one worker thread each, tile 0 on the calling
+//!   thread. One spin barrier ([`Phaser`]) per simulated cycle separates
+//!   the cycles; **the barrier is the clock edge**: each tile publishes
+//!   its report and its exported boundary flits in its own outbox,
+//!   crosses the barrier, then imports the flits addressed to it from
+//!   every outbox and merges every tile's report. Everything a tile does
+//!   between two barriers is the work one tile does for the same
+//!   components within one `now`, and the boundary link latches are the
+//!   only cross-tile traffic.
 //!
 //! # Why the result does not depend on `T`
 //!
@@ -34,7 +38,7 @@
 //!   input is fed only by its unique neighbor on that link, so exporting
 //!   a boundary flit during tile A's tick and importing it into tile B
 //!   before B's next route phase reproduces the whole fabric's two-phase
-//!   (route-all-then-deliver-all) tick exactly. Mailboxes are
+//!   (route-all-then-deliver-all) tick exactly. Outboxes are
 //!   double-buffered by round parity so a fast tile's cycle-`t` exports
 //!   can never be confused with its neighbor's still-pending cycle-`t−1`
 //!   imports.
@@ -44,10 +48,14 @@
 //!   fault-event tail (sorted by `(cycle, phase, tile)`) are all
 //!   order-insensitive or merged in tile order, never in thread-completion
 //!   order.
-//! * **One leader makes every global decision.** Tile 0 (on the calling
-//!   thread) runs [`Clock::decide`] on the folded reports and is the only
-//!   agent that drains the fault injector's link-kill schedule, so the
-//!   scheduled-fault stream is consumed in the same order for every `T`.
+//! * **Every tile makes the same global decision.** [`Clock::decide`]
+//!   is a pure function of the merged report and the clock's own history,
+//!   so every tile reaches the same verdict and all tiles stop in the
+//!   same round; no decision is sent. Link kills are scheduled by cycle,
+//!   and every tile's injector fork replays the caller's kill schedule
+//!   ([`FaultInjector::fork_for_tile`]), so each tile drains the same
+//!   kills at the same cycle by itself; tile 0 alone logs and counts
+//!   them.
 //!
 //! # Which PEs a cycle ticks
 //!
@@ -252,17 +260,6 @@ fn push_fault(log: &mut VecDeque<(Cycle, u8, TraceEvent)>, now: Cycle, phase: u8
     log.push_back((now, phase, ev));
 }
 
-/// Drain the link kills scheduled at or before `now` into `kills`, as
-/// original `(node, dir)` pairs.
-fn drain_kills<I: FaultInjector>(injector: &mut I, now: Cycle, kills: &mut Vec<(u16, u8)>) {
-    kills.clear();
-    if I::ACTIVE {
-        while let Some(kill) = injector.take_link_kill(now) {
-            kills.push((kill.node, kill.dir & 3));
-        }
-    }
-}
-
 /// One tile's share of one simulated cycle.
 ///
 /// 1. deliver flits ejected by the fabric to their node interfaces (PEs
@@ -301,8 +298,8 @@ fn execute_cycle<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
     }
 
     // 0b. Scheduled permanent faults, before any traffic moves. Every
-    // tile sees the same kill list and kills the link ends its shard
-    // owns; tile 0 alone logs the event, once.
+    // tile drains the same kill list from its own injector and kills the
+    // link ends its shard owns; tile 0 alone logs the event, once.
     for &(node, dir) in kills {
         if tile.index == 0 {
             let event = TraceEvent::FaultLinkKilled { node, dir };
@@ -615,8 +612,51 @@ fn conclude<F: Fabric>(
     }
 }
 
+/// The one cycle loop, for every tile count: drain the cycle's link kills
+/// from the tile's own injector, run the tile's share of the cycle, cross
+/// the clock edge, then decide. `edge` returns the whole system's
+/// end-of-cycle report, or `None` when another tile panicked (the loop
+/// then returns `None` too). Every tile decides on the same report, so
+/// all tiles stop in the same round, each flushing its meter at the stop
+/// cycle.
+///
+/// Always inlined, so a one-tile run keeps its tile in its own frame (see
+/// [`execute_cycle`]).
+#[inline(always)]
+fn cycle_loop<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
+    cfg: &SystemConfig,
+    tile: &mut Tile<F>,
+    sink: &mut S,
+    injector: &mut I,
+    meter: &mut M,
+    mut edge: impl FnMut(&mut Tile<F>, Cycle) -> Option<TileReport>,
+) -> Option<(Cycle, StopCause)> {
+    let mut clock = Clock::new(cfg);
+    let mut kills = Vec::new();
+    let mut now: Cycle = 0;
+    loop {
+        // The link kills scheduled at or before `now`, as `(node, dir)`.
+        kills.clear();
+        if I::ACTIVE {
+            while let Some(kill) = injector.take_link_kill(now) {
+                kills.push((kill.node, kill.dir & 3));
+            }
+        }
+        execute_cycle(tile, now, &kills, sink, injector, meter);
+        let report = edge(tile, now)?;
+        match clock.decide(now, &report) {
+            Ok(next) => now = next,
+            Err(cause) => {
+                tile.finish_meter(meter, now);
+                return Some((now, cause));
+            }
+        }
+    }
+}
+
 /// The one-tile run, on the calling thread: the caller's sink, injector
-/// and meter are used directly.
+/// and meter are used directly, and the clock edge is the tile's own
+/// report.
 fn run_one_tile<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     fabric: F,
@@ -632,19 +672,11 @@ fn run_one_tile<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
         .expect("one fabric builds one tile");
     let wall_start = Instant::now();
     let watchdog = cfg.resilience().watchdog_cycles > 0;
-    let mut clock = Clock::new(cfg);
-    let mut kills = Vec::new();
-    let mut now: Cycle = 0;
-    let cause = loop {
-        drain_kills(injector, now, &mut kills);
-        execute_cycle(&mut tile, now, &kills, sink, injector, meter);
-        match clock.decide(now, &tile.report(now, 0, watchdog)) {
-            Ok(next) => now = next,
-            Err(cause) => break cause,
-        }
-    };
-    tile.finish_meter(meter, now);
-    conclude(cfg, now, cause, vec![tile], injector.stats(), wall_start)
+    let (at, cause) = cycle_loop(cfg, &mut tile, sink, injector, meter, |tile, now| {
+        Some(tile.report(now, 0, watchdog))
+    })
+    .expect("a one-tile edge always reports");
+    conclude(cfg, at, cause, vec![tile], injector.stats(), wall_start)
 }
 
 /// A tile-local trace sink that can surrender its buffered events.
@@ -687,8 +719,9 @@ impl WorkerSink for BufSink {
 /// injector fork, meter fork and trace buffer.
 struct Worker<LS, I, M> {
     tile: Tile<Network>,
-    /// Answers every stateless fault hook like the caller's injector; its
-    /// stats merge back after the join.
+    /// Answers every stateless fault hook like the caller's injector and
+    /// replays its link-kill schedule; its stats merge back after the
+    /// join.
     injector: I,
     /// A full-size meter fork: it writes only the slots of the
     /// components the tile owns, so absorbing the forks in tile-index
@@ -701,102 +734,118 @@ struct Worker<LS, I, M> {
 /// flit)`, exactly the triple [`Network::import`] consumes.
 type BoundaryFlit = (u16, u8, Flit);
 
-/// The leader's verdict for the next round.
-#[derive(Clone)]
-enum Decision {
-    /// Simulate cycle `now`; apply `kills` before any traffic moves.
-    Go { now: Cycle, kills: Vec<(u16, u8)> },
-    /// The run is over as of cycle `at`; workers flush their meters and
-    /// exit without running another cycle.
-    Stop { at: Cycle },
+/// What a tile publishes at the clock edge: its end-of-cycle report and
+/// the boundary flits its shard exported to other tiles' routers.
+#[derive(Default)]
+struct Outbox {
+    report: TileReport,
+    exports: Vec<BoundaryFlit>,
 }
 
-/// Cross-thread coordination state, shared by reference into the scope.
+/// Cross-thread state, shared by reference into the scope.
 struct Shared {
     phaser: Phaser,
-    decision: Mutex<Decision>,
-    reports: Vec<Mutex<TileReport>>,
-    /// Boundary-flit mailboxes, one per directed tile pair
-    /// (`[parity][from * tiles + to]`), double-buffered by round parity:
-    /// round `r` drains buffer `(r+1) & 1` and fills buffer `r & 1`, so
-    /// a tile racing ahead within the same barrier window can never push
-    /// into a mailbox its neighbor is still draining.
-    mailboxes: [Vec<Mutex<Vec<BoundaryFlit>>>; 2],
+    /// One outbox per tile, double-buffered by round parity
+    /// (`[round & 1][tile]`). Round `r` fills and reads buffer `r & 1`;
+    /// a tile fills it again only in round `r + 2`, after the barrier of
+    /// round `r + 1`, which no tile reaches before it has read round `r`.
+    outboxes: [Vec<Mutex<Outbox>>; 2],
     /// Tile boundaries: tile `i` owns nodes `starts[i]..starts[i+1]`.
     starts: Vec<u16>,
-    watchdog: bool,
-    /// First panic payload from any worker; rethrown after the join.
+    /// First panic payload from any tile; rethrown after the join.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 impl Shared {
-    fn tiles(&self) -> usize {
-        self.reports.len()
-    }
-
-    fn tile_of(&self, node: usize) -> usize {
-        self.starts.partition_point(|&s| (s as usize) <= node) - 1
-    }
-
     fn store_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = lock(&self.panic);
         if slot.is_none() {
             *slot = Some(payload);
         }
         self.phaser.poison();
     }
+
+    /// Cross the clock edge of `round` for `tile`: publish its outbox,
+    /// cross the barrier, import the boundary flits addressed to it and
+    /// merge every tile's report in tile order. `None` when another tile
+    /// panicked.
+    fn edge(
+        &self,
+        tile: &mut Tile<Network>,
+        now: Cycle,
+        round: u64,
+        watchdog: bool,
+    ) -> Option<TileReport> {
+        let outboxes = &self.outboxes[(round & 1) as usize];
+        {
+            let mut outbox = lock(&outboxes[tile.index]);
+            let Outbox { report, exports } = &mut *outbox;
+            exports.clear();
+            exports.extend(tile.fabric.take_exports());
+            *report = tile.report(now, exports.len(), watchdog);
+        }
+        // Tile 0 opens the next round as soon as every other tile has
+        // arrived; no tile does serial work at the edge.
+        if tile.index == 0 {
+            if !self.phaser.wait_followers() {
+                return None;
+            }
+            self.phaser.release();
+        } else if !self.phaser.arrive_and_wait(round) {
+            return None;
+        }
+        // Importing before the next cycle's phases is exactly the whole
+        // fabric's phase-2 delivery: input latches are untouched until the
+        // route phase, and each (router, dir) input has one writer, so the
+        // walk order does not matter.
+        let own = self.starts[tile.index]..self.starts[tile.index + 1];
+        outboxes
+            .iter()
+            .map(|outbox| {
+                let outbox = lock(outbox);
+                for &(to, from_dir, flit) in &outbox.exports {
+                    if own.contains(&to) {
+                        tile.fabric.import(to, from_dir, flit);
+                    }
+                }
+                outbox.report.clone()
+            })
+            .reduce(TileReport::merge)
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A worker that panicked mid-push poisons the mutex; the payload is
+    // A tile that panicked mid-write poisons the mutex; the payload is
     // rethrown after the join, so the inner data is never trusted.
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One worker's round: import last round's boundary flits, run the
-/// tile's cycle, export this round's boundary flits, publish the report.
-fn step<LS: WorkerSink, I: FaultInjector, M: Meter>(
+/// One tile's run, on a scoped worker thread (tile 0 on the calling
+/// thread). A panic poisons the phaser, so every other tile leaves its
+/// loop at its next edge; the payload is rethrown after the join.
+fn run_worker<LS: WorkerSink, I: FaultInjector, M: Meter>(
     worker: &mut Worker<LS, I, M>,
     shared: &Shared,
-    now: Cycle,
-    kills: &[(u16, u8)],
-    round: u64,
-) {
-    let tiles = shared.tiles();
-    let index = worker.tile.index;
-    let cur = (round & 1) as usize;
-    let prev = cur ^ 1;
-    // Import before the cycle's phases: input latches are untouched until
-    // the route phase at the end of the cycle, so importing here is
-    // exactly the whole fabric's phase-2 delivery. Fixed from-tile order
-    // keeps the walk deterministic; the final latch state is
-    // order-independent anyway (one writer per (router, dir) input).
-    for from in 0..tiles {
-        let mut inbox = lock(&shared.mailboxes[prev][from * tiles + index]);
-        for (to, from_dir, flit) in inbox.drain(..) {
-            worker.tile.fabric.import(to, from_dir, flit);
-        }
-    }
-    execute_cycle(
-        &mut worker.tile,
-        now,
-        kills,
-        &mut worker.sink,
-        &mut worker.injector,
-        &mut worker.meter,
-    );
-    let mut exported = 0;
-    for (to, from_dir, flit) in worker.tile.fabric.take_exports() {
-        let dest = shared.tile_of(to as usize);
-        lock(&shared.mailboxes[cur][index * tiles + dest]).push((to, from_dir, flit));
-        exported += 1;
-    }
-    *lock(&shared.reports[index]) = worker.tile.report(now, exported, shared.watchdog);
+    cfg: &SystemConfig,
+) -> Option<(Cycle, StopCause)> {
+    let watchdog = cfg.resilience().watchdog_cycles > 0;
+    let Worker { tile, injector, meter, sink } = worker;
+    let mut round = 0;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        cycle_loop(cfg, tile, sink, injector, meter, |tile, now| {
+            let report = shared.edge(tile, now, round, watchdog);
+            round += 1;
+            report
+        })
+    }));
+    outcome.unwrap_or_else(|payload| {
+        shared.store_panic(payload);
+        None
+    })
 }
 
-/// The multi-tile run: tile 0 leads on the calling thread, every other
-/// tile follows on a scoped worker thread. Returns the outcome and the
-/// merged trace stream.
+/// The multi-tile run: one tile per thread, tile 0 on the calling thread.
+/// Returns the outcome and the merged trace stream.
 fn run_tiles<LS: WorkerSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
@@ -817,47 +866,21 @@ fn run_tiles<LS: WorkerSink, I: FaultInjector, M: Meter>(
         .map(|(tile, injector)| Worker { tile, injector, meter: meter.fork(), sink: LS::fresh() })
         .collect();
     let wall_start = Instant::now();
-
-    // Cycle 0's scheduled kills, drained like every later cycle's.
-    let mut kills = Vec::new();
-    drain_kills(injector, 0, &mut kills);
-    let boxes = || (0..tiles * tiles).map(|_| Mutex::new(Vec::new())).collect::<Vec<_>>();
+    let outboxes = || (0..tiles).map(|_| Mutex::new(Outbox::default())).collect();
     let shared = Shared {
         phaser: Phaser::new(tiles),
-        decision: Mutex::new(Decision::Go { now: 0, kills: kills.clone() }),
-        reports: (0..tiles).map(|_| Mutex::new(TileReport::default())).collect(),
-        mailboxes: [boxes(), boxes()],
+        outboxes: [outboxes(), outboxes()],
         starts,
-        watchdog: cfg.resilience().watchdog_cycles > 0,
         panic: Mutex::new(None),
     };
 
-    let mut stop: Option<(Cycle, StopCause)> = None;
-    std::thread::scope(|scope| {
+    let stop = std::thread::scope(|scope| {
         let shared = &shared;
-        let mut rest = workers.iter_mut();
-        let leader = rest.next().expect("tiles >= 2");
-        let handles: Vec<_> = rest
-            .map(|worker| {
-                scope.spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| follower_loop(worker, shared)));
-                    if let Err(payload) = outcome {
-                        shared.store_panic(payload);
-                    }
-                })
-            })
-            .collect();
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| leader_loop(leader, shared, cfg, injector, kills)));
-        match outcome {
-            Ok(s) => stop = s,
-            Err(payload) => shared.store_panic(payload),
+        let (first, rest) = workers.split_first_mut().expect("tiles >= 2");
+        for worker in rest {
+            scope.spawn(move || run_worker(worker, shared, cfg));
         }
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                shared.store_panic(payload);
-            }
-        }
+        run_worker(first, shared, cfg)
     });
     if let Some(payload) = lock(&shared.panic).take() {
         resume_unwind(payload);
@@ -865,84 +888,29 @@ fn run_tiles<LS: WorkerSink, I: FaultInjector, M: Meter>(
     let (at, cause) = stop.expect("tiled engine stopped without a cause or a panic");
 
     let mut fault = injector.stats();
+    // Fire the caller's kills through the stop cycle, as a one-tile run
+    // would have: a later run with the same injector must not repeat them.
+    while injector.take_link_kill(at).is_some() {}
     let mut meters = Vec::with_capacity(tiles);
     let mut traces = Vec::with_capacity(tiles);
     let mut tile_vec = Vec::with_capacity(tiles);
     for worker in workers {
-        fault.merge(&worker.injector.stats());
+        let mut stats = worker.injector.stats();
+        // Every fork drains the whole link-kill schedule; tile 0's counts
+        // each kill once.
+        if worker.tile.index > 0 {
+            stats.links_killed = 0;
+        }
+        fault.merge(&stats);
         meters.push(worker.meter);
         traces.push(worker.sink.into_events());
         tile_vec.push(worker.tile);
     }
     // Every series slot has exactly one writer, so the element-wise sum
-    // of the forks (already flushed at the stop decision) is bit-identical
+    // of the forks (already flushed at the stop cycle) is bit-identical
     // to a one-tile recording; the caller must NOT finish again.
     meter.absorb(meters);
     (conclude(cfg, at, cause, tile_vec, fault, wall_start), merge_traces(traces))
-}
-
-fn follower_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    worker: &mut Worker<LS, I, M>,
-    shared: &Shared,
-) {
-    let mut round = shared.phaser.generation();
-    loop {
-        let decision = lock(&shared.decision).clone();
-        match decision {
-            Decision::Go { now, kills } => step(worker, shared, now, &kills, round),
-            Decision::Stop { at } => {
-                worker.tile.finish_meter(&mut worker.meter, at);
-                return;
-            }
-        }
-        if !shared.phaser.arrive_and_wait(round) {
-            return;
-        }
-        round += 1;
-    }
-}
-
-/// Tile 0's loop: run the tile's round, wait for the followers, fold the
-/// reports in tile order, decide, and drain the next cycle's link kills
-/// from the caller's injector. `None` means a follower panicked.
-fn leader_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    worker: &mut Worker<LS, I, M>,
-    shared: &Shared,
-    cfg: &SystemConfig,
-    injector: &mut I,
-    mut kills: Vec<(u16, u8)>,
-) -> Option<(Cycle, StopCause)> {
-    let mut clock = Clock::new(cfg);
-    let mut round = shared.phaser.generation();
-    let mut now: Cycle = 0;
-    loop {
-        step(worker, shared, now, &kills, round);
-        if !shared.phaser.wait_followers() {
-            return None;
-        }
-        let report = shared
-            .reports
-            .iter()
-            .map(|r| lock(r).clone())
-            .reduce(TileReport::merge)
-            .expect("tiles >= 2");
-        let next = match clock.decide(now, &report) {
-            Ok(next) => {
-                now = next;
-                drain_kills(injector, now, &mut kills);
-                Decision::Go { now, kills: kills.clone() }
-            }
-            Err(cause) => {
-                *lock(&shared.decision) = Decision::Stop { at: now };
-                shared.phaser.release();
-                worker.tile.finish_meter(&mut worker.meter, now);
-                return Some((now, cause));
-            }
-        };
-        *lock(&shared.decision) = next;
-        shared.phaser.release();
-        round += 1;
-    }
 }
 
 /// Per-cycle cost weight of a node hosting a PE or an MPMMU bank,

@@ -255,27 +255,37 @@ fn oversized_message_panics() {
 #[test]
 fn oversized_message_panic_keeps_its_message() {
     // The engine re-raises a kernel panic with the kernel's own message,
-    // on the sequential and the tiled engine alike.
-    let kernels = || -> Vec<Kernel> {
+    // on one tile and on several, whichever tile the panicking kernel
+    // sits in: rank 0 is on n1 (tile 0 at two threads), rank 1 on n2 (the
+    // last tile at two threads).
+    let kernels = |sender: u8| -> Vec<Kernel> {
         let payload = vec![0u32; empi::MAX_MESSAGE_WORDS + 1];
-        vec![
-            kernel(move |api: PeApi| async move {
-                let _ = Empi::new(api).recv(Rank::new(1)).await;
-            }),
-            kernel(move |api: PeApi| async move {
-                Empi::new(api).send(Rank::new(0), &payload).await;
-            }),
-        ]
+        let receiver = 1 - sender;
+        let recv = kernel(move |api: PeApi| async move {
+            let _ = Empi::new(api).recv(Rank::new(sender)).await;
+        });
+        let send = kernel(move |api: PeApi| async move {
+            Empi::new(api).send(Rank::new(receiver), &payload).await;
+        });
+        if sender == 0 {
+            vec![send, recv]
+        } else {
+            vec![recv, send]
+        }
     };
-    let tiled = SystemConfig::builder().compute_pes(2).host_threads(2).build().unwrap();
-    for cfg in [sys(2), tiled] {
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            System::run(&cfg, &[], kernels())
-        }))
-        .expect_err("the oversized send must panic");
-        let text = payload.downcast_ref::<String>().expect("formatted panic message");
-        assert!(text.starts_with("kernel on n2 panicked: "), "{text}");
-        assert!(text.contains("exceeds"), "the kernel's own message is kept: {text}");
+    let tiled =
+        |threads| SystemConfig::builder().compute_pes(2).host_threads(threads).build().unwrap();
+    for cfg in [sys(2), tiled(2), tiled(4)] {
+        for (sender, node) in [(1, "n2"), (0, "n1")] {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                System::run(&cfg, &[], kernels(sender))
+            }))
+            .expect_err("the oversized send must panic");
+            let text = payload.downcast_ref::<String>().expect("formatted panic message");
+            let want = format!("kernel on {node} panicked: ");
+            assert!(text.starts_with(&want), "{text}");
+            assert!(text.contains("exceeds"), "the kernel's own message is kept: {text}");
+        }
     }
 }
 

@@ -222,11 +222,15 @@ pub trait FaultInjector: Send {
     /// [`bank_drop`](Self::bank_drop), [`bank_delay`](Self::bank_delay),
     /// [`pe_stall`](Self::pe_stall) — exactly as the parent would, so
     /// that partitioning components across forks cannot change the fault
-    /// schedule. Forks start with zeroed [`FaultStats`] (the engine merges
-    /// them back with [`FaultStats::merge`]) and are never polled for
-    /// [`take_link_kill`](Self::take_link_kill): link kills are global
-    /// events the engine's leader drains from the *original* injector
-    /// once per cycle.
+    /// schedule. A fork must also return the same
+    /// [`take_link_kill`](Self::take_link_kill) sequence as its parent
+    /// would from here on: link kills are global events, and every tile
+    /// drains the whole schedule from its own fork once per cycle,
+    /// killing the link ends its shard owns. Forks start with zeroed
+    /// [`FaultStats`]; the engine merges them back with
+    /// [`FaultStats::merge`], counting each link kill once, from tile 0's
+    /// fork, and afterwards drains the parent's kills through the stop
+    /// cycle, as a one-tile run would have.
     fn fork_for_tile(&self) -> Option<Self>
     where
         Self: Sized,
@@ -380,11 +384,15 @@ impl FaultInjector for ScheduledInjector {
     /// Every decision is a stateless hash of `(seed, domain, component,
     /// cycle)`, so a fresh injector over the same schedule answers every
     /// per-component hook identically (pinned by
-    /// `decisions_are_stateless_and_order_independent`); only the
-    /// fired-link bookkeeping is stateful, and forks are never asked for
-    /// link kills.
+    /// `decisions_are_stateless_and_order_independent`). The fired-link
+    /// bookkeeping is the only other state, and a fork copies it, so it
+    /// fires the parent's remaining link kills at the same cycles (pinned
+    /// by `forks_replay_the_link_kill_schedule`).
     fn fork_for_tile(&self) -> Option<Self> {
-        Some(ScheduledInjector::new(self.cfg))
+        Some(ScheduledInjector {
+            fired_links: self.fired_links,
+            ..ScheduledInjector::new(self.cfg)
+        })
     }
 }
 
@@ -522,6 +530,40 @@ mod tests {
         assert!(merged.total() > 0, "schedule should have fired");
         // The null injector forks too (to a null fork).
         assert_eq!(NullInjector.fork_for_tile(), Some(NullInjector));
+    }
+
+    #[test]
+    fn forks_replay_the_link_kill_schedule() {
+        // Every tile drains the kill schedule from its own fork, so a fork
+        // must fire the same kills at the same cycles, in slot order, as
+        // the parent.
+        let schedule = cfg(9)
+            .kill_link(DeadLink { node: 4, dir: 1, at: 30 })
+            .kill_link(DeadLink { node: 0, dir: 2, at: 0 })
+            .kill_link(DeadLink { node: 7, dir: 1, at: 30 })
+            .kill_link(DeadLink { node: 5, dir: 3, at: 200 });
+        let mut parent = ScheduledInjector::new(schedule);
+        let mut fork = parent.fork_for_tile().expect("scheduled injector forks");
+        let drain = |inj: &mut ScheduledInjector| {
+            let mut fired = Vec::new();
+            for now in 0..300 {
+                while let Some(kill) = inj.take_link_kill(now) {
+                    fired.push((now, kill));
+                }
+            }
+            fired
+        };
+        let from_parent = drain(&mut parent);
+        assert_eq!(from_parent.len(), 4);
+        assert_eq!(from_parent[1], (30, DeadLink { node: 4, dir: 1, at: 30 }));
+        assert_eq!(from_parent[2], (30, DeadLink { node: 7, dir: 1, at: 30 }));
+        assert_eq!(drain(&mut fork), from_parent);
+        assert_eq!(fork.stats().links_killed, parent.stats().links_killed);
+        // A fork of a partly drained injector replays only the rest.
+        let mut parent = ScheduledInjector::new(schedule);
+        while parent.take_link_kill(30).is_some() {}
+        let mut rest = parent.fork_for_tile().expect("scheduled injector forks");
+        assert_eq!(drain(&mut rest), from_parent[3..]);
     }
 
     #[test]

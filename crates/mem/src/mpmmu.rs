@@ -422,14 +422,6 @@ impl Mpmmu {
             && self.out_fifo.is_empty()
     }
 
-    /// The cycle at which the current service completes, if busy.
-    pub fn busy_until(&self) -> Option<Cycle> {
-        match &self.state {
-            State::Busy { until, .. } => Some(*until),
-            _ => None,
-        }
-    }
-
     /// Advance one cycle.
     pub fn tick(&mut self, now: Cycle) {
         self.tick_traced(now, &mut NullSink);

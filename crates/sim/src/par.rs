@@ -3,11 +3,12 @@
 //! The parallel engine in `medea-core` domain-decomposes the torus into
 //! per-thread tiles and advances all tiles in lockstep, one simulated clock
 //! cycle per step. The synchronization shape is a classic *phaser*: every
-//! cycle, each worker finishes its tile's phases, publishes a small report,
-//! and waits; one distinguished **leader** (tile 0, which runs on the
-//! calling thread) waits for all followers, makes the serial end-of-cycle
-//! decision (termination, watchdog, timed-wait jump, fault-schedule link
-//! kills), publishes it, and releases everyone into the next cycle.
+//! cycle, each tile finishes its share of the cycle, publishes a small
+//! report and its boundary flits, and crosses the barrier; tile 0 (on the
+//! calling thread) closes each generation by waiting for every other tile
+//! and releasing them at once. Past the barrier every tile reads every
+//! report and makes the same end-of-cycle decision itself, so no decision
+//! travels through the barrier.
 //!
 //! The barrier *is* the clock edge: no tile can observe another tile's
 //! cycle-`T` state until every tile has finished cycle `T`, so cross-tile
@@ -36,15 +37,18 @@ const SPINS_PER_YIELD: u32 = 256;
 ///
 /// Protocol per cycle (generation):
 ///
-/// 1. followers call [`Phaser::arrive_and_wait`] — publish their report
+/// 1. followers call [`Phaser::arrive_and_wait`] — publish their data
 ///    *before* arriving (the `AcqRel` arrival makes it visible), then spin
 ///    until the leader bumps the generation;
-/// 2. the leader calls [`Phaser::wait_followers`], reads all reports, writes
-///    the shared decision, then calls [`Phaser::release`].
+/// 2. the leader calls [`Phaser::wait_followers`], then [`Phaser::release`].
+///    Anything the leader does between the two is serial work every
+///    follower waits through; the cycle engine does none and releases at
+///    once. The split API stays for callers that measure or use that
+///    window (the host-speed benchmark's barrier probe).
 ///
-/// All cross-thread data (tile reports, the decision, boundary mailboxes)
-/// rides on the acquire/release pairs of `arrived` and `generation`, so the
-/// shared structures themselves can be plain uncontended `Mutex`es.
+/// All cross-thread data (the engine's tile outboxes) rides on the
+/// acquire/release pairs of `arrived` and `generation`, so the shared
+/// structures themselves can be plain uncontended `Mutex`es.
 #[derive(Debug)]
 pub struct Phaser {
     participants: usize,
@@ -115,8 +119,7 @@ impl Phaser {
 
     /// Leader side: open the next generation, releasing every follower
     /// spinning in [`Phaser::arrive_and_wait`]. Must only be called after
-    /// [`Phaser::wait_followers`] returned `true` and the decision for the
-    /// next cycle has been written.
+    /// [`Phaser::wait_followers`] returned `true`.
     pub fn release(&self) {
         self.arrived.store(0, Ordering::Release);
         self.generation.fetch_add(1, Ordering::Release);

@@ -545,6 +545,31 @@ fn cross_tile_link_kills_match_sequential() {
     assert!(run.fabric_reroutes > 0, "traffic must hit a dead link");
 }
 
+/// One injector reused for a second run: every link kill fired in the
+/// first run, so the second runs on an intact fabric at every tile count.
+#[test]
+fn reused_injector_fires_each_link_kill_once() {
+    let schedule = FaultConfig { seed: 0x11_4C, ..FaultConfig::default() }
+        .kill_link(DeadLink { node: 4, dir: 1, at: 30 })
+        .kill_link(DeadLink { node: 7, dir: 1, at: 200 });
+    let twice = |threads: usize| {
+        let mut injector = ScheduledInjector::new(schedule);
+        let mut run = || {
+            let kernels = seeded_kernels(8, 0x4B11, 16);
+            System::run_faulted(&cfg(8, threads), &[], kernels, &mut NullSink, &mut injector)
+        };
+        (run(), run())
+    };
+    let (first, second) = twice(1);
+    assert!(first.as_ref().expect("dead links are routed around").fabric_reroutes > 0);
+    assert_eq!(second.as_ref().expect("intact fabric").fabric_reroutes, 0);
+    for threads in [2, 4] {
+        let (a, b) = twice(threads);
+        assert_same_outcome(&format!("first run@{threads}t"), &a, &first);
+        assert_same_outcome(&format!("second run@{threads}t"), &b, &second);
+    }
+}
+
 /// Corrupted Message flits, recovered by resilient eMPI's NACK and
 /// retransmit; each tile's injector fork draws the corruptions of the
 /// PEs it owns.
